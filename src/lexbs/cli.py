@@ -496,6 +496,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    except Exception as exc:
+        # A fault in lexbs, not a finding: exit 1 means a counterexample.
+        detail = " ".join(str(exc).split())  # one line whatever the message
+        _diag(f"error: internal error: {type(exc).__name__}: {detail}")
+        return 3
 
 
 if __name__ == "__main__":

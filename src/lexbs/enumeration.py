@@ -13,7 +13,6 @@ slice of the master list between the shadow size and t_d.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -154,11 +153,18 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     ideals = enumerate_artinian_lex(config.max_deg, config.n)
     worker = partial(_run_checks, checks=checks)
     if config.parallelism == 1:
-        results = map(worker, ideals)
-    else:
-        pool = ProcessPoolExecutor(max_workers=config.parallelism)
-        results = pool.map(worker, ideals, chunksize=64)
+        return _merge(map(worker, ideals), checks)
+    with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+        try:
+            return _merge(pool.map(worker, ideals, chunksize=64), checks)
+        except BaseException:
+            # Drop the queued chunks: leaving the block waits for the pool.
+            pool.shutdown(cancel_futures=True)
+            raise
 
+
+def _merge(results, checks: tuple[str, ...]) -> CampaignSummary:
+    """Fold per-ideal check rows, in enumeration order, into a summary."""
     stats = {name: CheckStats() for name in checks}
     witnesses = []
     total = 0
@@ -176,8 +182,6 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
                 bucket.failed += 1
             if verdict == "fail":
                 witnesses.append((name, ideal_repr, witness or ""))
-    if config.parallelism > 1:
-        pool.shutdown()
 
     bad = any(
         name != "conjecture" and stats[name].failed > 0 for name in checks
@@ -190,7 +194,3 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
         witnesses=tuple(witnesses),
         exit_code=1 if bad else 0,
     )
-
-
-def default_parallelism() -> int:
-    return max(1, os.cpu_count() or 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 
 
 class Monomial:
@@ -145,6 +146,56 @@ def monomials_of_degree(n: int, d: int) -> tuple[Monomial, ...]:
             e[k] += 1
         out.append(Monomial(e))
     return tuple(out)
+
+
+def glex_rank(e: tuple[int, ...]) -> int:
+    """Position of the exponent tuple e among the monomials of its degree,
+    glex-descending: the index of Monomial(e) in
+    monomials_of_degree(len(e), sum(e)), without building that list.
+
+    A tuple of the same degree comes before e when it agrees with e up
+    to some position k and is larger at k.  With r the degree left from
+    k on, those tuples are the ones of degree r - e[k] - 1 in the
+    n - k variables from k on (take e[k] + 1 off position k).
+    """
+    n = len(e)
+    r = sum(e)
+    rank = 0
+    for k in range(n - 1):
+        if r == e[k]:
+            break
+        m = n - k
+        rank += comb(r - e[k] + m - 2, m - 1)
+        r -= e[k]
+    return rank
+
+
+def glex_unrank(n: int, d: int, rank: int) -> tuple[int, ...]:
+    """The exponent tuple at position rank among the degree-d monomials
+    in n variables, glex-descending; the inverse of glex_rank."""
+    if n < 1:
+        raise ValueError("need at least one variable")
+    if d < 0 or not 0 <= rank < comb(d + n - 1, n - 1):
+        raise ValueError(f"no degree-{d} monomial of rank {rank} in {n} variables")
+    e = []
+    r = d
+    for k in range(n - 1):
+        m = n - k
+        # comb(r - v + m - 2, m - 1) tuples have a larger exponent than
+        # v here; it shrinks as v grows, so bisect for the least v whose
+        # count does not exceed the rank.
+        lo, hi = 0, r
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if comb(r - mid + m - 2, m - 1) <= rank:
+                hi = mid
+            else:
+                lo = mid + 1
+        rank -= comb(r - lo + m - 2, m - 1)
+        e.append(lo)
+        r -= lo
+    e.append(r)
+    return tuple(e)
 
 
 VAR_LETTERS = ("x", "y", "z")

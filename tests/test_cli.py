@@ -1,5 +1,7 @@
 """Command-line surface: the generator grammar, rendering, exit codes."""
 
+import time
+
 import pytest
 
 from lexbs.betti import ek_betti, quotient_diagram
@@ -277,3 +279,51 @@ def test_syntax_error_exit_code(capsys):
     assert code == 2
     assert "syntax error at byte 5" in err
     assert "lexbs gen power-ideal" in err
+
+
+def test_unexpected_error_exit_code(capsys, monkeypatch):
+    def broken(ideal):
+        raise RuntimeError("injected\nfault")
+
+    monkeypatch.setattr(cli, "ek_betti", broken)
+    code, out, err = run(capsys, "betti", "x, y, z")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: injected fault\n"
+
+
+# -------------------------------------------- deep degrees, 1 s ceilings
+
+DEEP_LEX = "x^2, xy, xz, y^3, y^2z, yz^2, z^600"
+
+
+def timed_run(capsys, *argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, f"{argv} took {elapsed:.2f} s"
+    return code, out, err
+
+
+def test_betti_deep_z_power(capsys):
+    code, out, err = timed_run(capsys, "betti", "x, y, z^5000")
+    assert code == 0
+    lines = out.splitlines()
+    # rows are j - i: x and y sit in row 1, z^5000 in row 5000
+    assert lines[2].split() == ["1", "|", "2", "1", "-"]
+    assert lines[-1].split() == ["5000", "|", "1", "2", "1"]
+    assert len(lines) == 2 + 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "thm1", DEEP_LEX),
+        ("explain", DEEP_LEX),
+        ("check", "bhp", DEEP_LEX),
+        ("check", "bhp", "x^2, x*y, y^600"),
+    ],
+)
+def test_deep_degree_commands_exit_zero(capsys, argv):
+    code, out, err = timed_run(capsys, *argv)
+    assert code == 0, err

@@ -9,10 +9,12 @@ brute-force oracle below rebuilds the small cases straight from that
 description, without the shadow-size shortcut.
 """
 
+import multiprocessing
 from itertools import product
 
 import pytest
 
+import lexbs.enumeration as enumeration
 from lexbs.enumeration import (
     CHECKS,
     CampaignConfig,
@@ -115,6 +117,16 @@ def test_campaign_parallel_matches_serial():
     assert serial.stats == parallel.stats
     assert serial.witnesses == parallel.witnesses
     assert serial.exit_code == parallel.exit_code
+
+
+def test_campaign_releases_workers_when_a_check_raises(monkeypatch):
+    def broken(ideal):
+        raise RuntimeError("injected")
+
+    monkeypatch.setitem(enumeration._CHECK_FUNCTIONS, "bhp", broken)
+    with pytest.raises(RuntimeError, match="injected"):
+        run_campaign(CampaignConfig(max_deg=5, checks=("bhp",), parallelism=2))
+    assert multiprocessing.active_children() == []
 
 
 def test_campaign_validation():

@@ -1,7 +1,10 @@
 """Ideal operations, with a brute-force membership oracle for the lex
 predicate and Hilbert counts."""
 
+from math import comb
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexbs.ideal import (
     MonomialIdeal,
@@ -21,6 +24,7 @@ from lexbs.ideal import (
     min_gen_degree,
     minimalize,
     monomials_at_degree,
+    segment_shadow_size,
     split_x,
     stable_violation,
 )
@@ -286,3 +290,108 @@ def test_format_ideal():
     assert format_ideal(UnitIdeal(3)) == "(1)"
     assert format_ideal(ZeroIdeal(2)) == "(0)"
     assert format_ideal(parse_ideal("y, x")) == "(x, y)"
+
+
+# ----- property tests against brute-force oracles ---------------------------
+
+
+def _hilbert_by_count(I, d):
+    return sum(
+        1 for u in monomials_of_degree(I.n, d) if _contains_by_divisibility(I, u)
+    )
+
+
+def _borel_closure(monos):
+    # Close under u -> x_i * u / x_j for i < j; strongly stable, so stable.
+    todo, seen = list(monos), set(monos)
+    while todo:
+        e = todo.pop()
+        for j in range(1, len(e)):
+            if e[j]:
+                for i in range(j):
+                    f = list(e)
+                    f[j] -= 1
+                    f[i] += 1
+                    f = tuple(f)
+                    if f not in seen:
+                        seen.add(f)
+                        todo.append(f)
+    return seen
+
+
+@st.composite
+def _ideals(draw, max_deg=6):
+    """A random nonzero proper ideal in 2-4 variables, stable or not."""
+    n = draw(st.integers(2, 4))
+    exps = st.tuples(*[st.integers(0, 4)] * n).filter(
+        lambda e: 0 < sum(e) <= max_deg
+    )
+    monos = draw(st.lists(exps, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        monos = _borel_closure(monos)
+    return minimalize([Monomial(e) for e in monos], n)
+
+
+_PROPERTY = settings(max_examples=150, deadline=None)
+
+
+@_PROPERTY
+@given(_ideals(), st.data())
+def test_contains_matches_divisibility_property(I, data):
+    e = data.draw(st.tuples(*[st.integers(0, 7)] * I.n))
+    u = Monomial(e)
+    assert contains(I, u) == _contains_by_divisibility(I, u)
+
+
+@_PROPERTY
+@given(_ideals())
+def test_hilbert_value_matches_count_property(I):
+    for d in range(0, max_gen_degree(I) + 3):
+        assert hilbert_value(I, d) == _hilbert_by_count(I, d)
+
+
+@_PROPERTY
+@given(_ideals())
+def test_is_lex_segment_matches_scan_property(I):
+    assert is_lex_segment(I) == _is_lex_by_scan(I)
+
+
+@_PROPERTY
+@given(st.integers(1, 4), st.integers(0, 7), st.data())
+def test_segment_shadow_size_matches_set_property(n, d, data):
+    master = monomials_of_degree(n, d)
+    t = data.draw(st.integers(0, len(master)))
+    shadow = {
+        e[:i] + (e[i] + 1,) + e[i + 1 :]
+        for e in (u.exponents for u in master[:t])
+        for i in range(n)
+    }
+    assert segment_shadow_size(n, d, t) == len(shadow)
+
+
+# Generators of degree <= 3 keep the lexification below degree ~40 in
+# four variables, where the brute-force oracle stays cheap; sextics can
+# push it past degree 400.
+@_PROPERTY
+@given(_ideals(max_deg=3))
+def test_lexify_property(I):
+    lexed = lexify(I)
+    assert is_lex_segment(lexed) and _is_lex_by_scan(lexed)
+    for d in range(0, max(max_gen_degree(I), max_gen_degree(lexed)) + 3):
+        assert hilbert_value(lexed, d) == _hilbert_by_count(I, d)
+
+
+def test_lexify_reaches_degree_601():
+    # The lexification of (x^2, xy, y^600) has generators up to degree 601.
+    lexed = lexify(parse_ideal("x^2, xy, y^600"))
+    assert is_lex_segment(lexed)
+    assert max_gen_degree(lexed) == 601
+
+
+def test_deep_z_power_predicates():
+    I = parse_ideal("x, y, z^5000")
+    assert is_lex_segment(I) and is_stable(I) and is_artinian(I)
+    assert contains(I, m(0, 0, 5000)) and not contains(I, m(0, 0, 4999))
+    assert hilbert_value(I, 5000) == comb(5002, 2)
+    assert hilbert_value(I, 4999) == comb(5001, 2) - 1
+    assert lexify(I) == I

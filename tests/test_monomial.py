@@ -7,6 +7,8 @@ from lexbs.monomial import (
     format_monomial,
     glex_compare,
     glex_key,
+    glex_rank,
+    glex_unrank,
     max_index,
     monomials_of_degree,
     mul_var,
@@ -116,6 +118,23 @@ def test_monomials_of_degree_counts_and_order():
             assert len(monos) == comb(n - 1 + d, n - 1)
             for a, b in zip(monos, monos[1:]):
                 assert glex_compare(a, b) == 1
+
+
+def test_glex_rank_and_unrank_match_master_list():
+    for n in (1, 2, 3, 4):
+        for d in range(0, 7):
+            for r, u in enumerate(monomials_of_degree(n, d)):
+                assert glex_rank(u.exponents) == r
+                assert glex_unrank(n, d, r) == u.exponents
+
+
+def test_glex_unrank_range():
+    assert glex_unrank(3, 5000, 0) == (5000, 0, 0)
+    assert glex_unrank(3, 5000, 5001 * 5002 // 2 - 1) == (0, 0, 5000)
+    with pytest.raises(ValueError):
+        glex_unrank(3, 2, 6)
+    with pytest.raises(ValueError):
+        glex_unrank(3, 2, -1)
 
 
 def test_monomials_of_degree_cached():
