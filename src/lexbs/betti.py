@@ -9,7 +9,6 @@ variable index dividing u.  Diagrams are sparse maps
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import Optional
 
@@ -53,10 +52,6 @@ class BettiDiagram:
             and self.entries == other.entries
         )
 
-    def dominated_by(self, other: "BettiDiagram") -> bool:
-        """Entrywise <= against another diagram."""
-        return all(v <= other.get(i, j) for (i, j), v in self.entries.items())
-
     def __repr__(self):
         body = ", ".join(
             f"({i},{j}): {v}" for (i, j), v in sorted(self.entries.items())
@@ -71,14 +66,7 @@ def ek_betti(I: MonomialIdeal) -> BettiDiagram:
     binomial(m(u)-1, i).  A non-stable input raises ValueError naming a
     violating generator.
     """
-    witness = stable_violation(I)
-    if witness is not None:
-        u, i, v = witness
-        raise ValueError(
-            f"ideal is not stable: generator {format_monomial(u)} needs "
-            f"x_{i}*{format_monomial(u)}/x_{max_index(u)} = "
-            f"{format_monomial(v)} in the ideal"
-        )
+    _require_stable(I)
     entries: dict[tuple[int, int], int] = {}
     for g in I.gens:
         m = max_index(g)
@@ -138,20 +126,12 @@ def regularity(I: MonomialIdeal) -> int:
 
 
 def _require_stable(I: MonomialIdeal) -> None:
+    """Raise ValueError naming a generator whose exchange leaves I."""
     witness = stable_violation(I)
     if witness is not None:
         u, i, v = witness
         raise ValueError(
             f"ideal is not stable: generator {format_monomial(u)} needs "
+            f"x_{i}*{format_monomial(u)}/x_{max_index(u)} = "
             f"{format_monomial(v)} in the ideal"
         )
-
-
-def diagram_sum(parts, n: int) -> BettiDiagram:
-    """Sum of (coefficient, BettiDiagram-like items) pairs, exact."""
-    out: dict[tuple[int, int], object] = {}
-    for coeff, items in parts:
-        for (i, j), v in items:
-            key = (i, j)
-            out[key] = out.get(key, 0) + Fraction(coeff) * v
-    return BettiDiagram(n, out)

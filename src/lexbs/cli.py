@@ -26,17 +26,11 @@ from itertools import combinations_with_replacement
 
 from .betti import BettiDiagram, ek_betti, quotient_diagram
 from .decompose import bs_decompose, unit_normalized
-from .enumeration import CHECKS, CampaignConfig, run_campaign
+from .enumeration import CampaignConfig, run_campaign
 from .ideal import MonomialIdeal, UnitIdeal, format_ideal, minimalize
 from .monomial import Monomial
 from .pure import NotDecomposable
-from .verify import (
-    check_colon_prefix,
-    check_excluded_family_tails,
-    check_lex_dominance,
-    check_tail_agreement,
-    explain_chain,
-)
+from .verify import CHECKS, explain_chain
 
 
 class IdealSyntaxError(ValueError):
@@ -244,28 +238,25 @@ def _parse_or_exit(text: str, n: int):
     return ideal
 
 
-def _cmd_betti(args) -> int:
+def _diagram_or_exit(args) -> BettiDiagram:
+    """The Betti diagram of the ideal argument, or of R/I with --quotient;
+    a non-stable ideal exits 2 with the stability message."""
     ideal = _parse_or_exit(args.ideal, args.vars)
     try:
         diagram = ek_betti(ideal)
     except ValueError as exc:
         _diag(f"error: {exc}")
-        return 2
-    if args.quotient:
-        diagram = quotient_diagram(diagram)
-    _emit(render_betti(diagram))
+        raise SystemExit(2)
+    return quotient_diagram(diagram) if args.quotient else diagram
+
+
+def _cmd_betti(args) -> int:
+    _emit(render_betti(_diagram_or_exit(args)))
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    ideal = _parse_or_exit(args.ideal, args.vars)
-    try:
-        diagram = ek_betti(ideal)
-    except ValueError as exc:
-        _diag(f"error: {exc}")
-        return 2
-    if args.quotient:
-        diagram = quotient_diagram(diagram)
+    diagram = _diagram_or_exit(args)
     try:
         dec = bs_decompose(diagram)
     except NotDecomposable as exc:
@@ -277,17 +268,9 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-_CHECKERS = {
-    "thm1": check_colon_prefix,
-    "thm2": check_tail_agreement,
-    "conjecture": check_excluded_family_tails,
-    "bhp": check_lex_dominance,
-}
-
-
 def _cmd_check(args) -> int:
     ideal = _parse_or_exit(args.ideal, args.vars)
-    report = _CHECKERS[args.property](ideal)
+    report = CHECKS[args.property](ideal)
     _emit(f"ideal: {format_ideal(ideal)}")
     _emit(f"status: {report.status}")
     _emit(f"verdict: {report.verdict if report.verdict else '(nothing checked)'}")
@@ -328,14 +311,7 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    checks = tuple(args.checks.split(",")) if args.checks else CHECKS
-    unknown = [c for c in checks if c not in CHECKS]
-    if unknown:
-        _diag(
-            f"error: unknown checks: {', '.join(unknown)} "
-            f"(available: {', '.join(CHECKS)})"
-        )
-        return 2
+    checks = tuple(args.checks.split(",")) if args.checks else tuple(CHECKS)
     config = CampaignConfig(
         max_deg=args.max_deg, checks=checks, parallelism=args.jobs
     )
@@ -446,9 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "check", help="run a property check on one ideal"
     )
-    p_check.add_argument(
-        "property", choices=("thm1", "thm2", "conjecture", "bhp")
-    )
+    p_check.add_argument("property", choices=CHECKS)
     add_ideal_arg(p_check)
     p_check.set_defaults(func=_cmd_check)
 

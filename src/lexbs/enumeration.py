@@ -20,35 +20,14 @@ from typing import Iterator, Optional
 
 from .ideal import MonomialIdeal, segment_shadow_size
 from .monomial import monomials_of_degree
-from .verify import (
-    CheckReport,
-    check_colon_prefix,
-    check_cone_assembly,
-    check_excluded_family_tails,
-    check_lex_dominance,
-    check_split_identities,
-    check_tail_agreement,
-)
-
-CHECKS = ("thm1", "thm2", "conjecture", "ek_vs_cone", "bhp", "lemmas")
-
-_CHECK_FUNCTIONS = {
-    "thm1": check_colon_prefix,
-    "thm2": check_tail_agreement,
-    "conjecture": check_excluded_family_tails,
-    "ek_vs_cone": check_cone_assembly,
-    "bhp": check_lex_dominance,
-    "lemmas": check_split_identities,
-}
+from .verify import CHECKS, CheckReport
 
 
-def enumerate_artinian_lex(max_deg: int, n: int = 3) -> Iterator[MonomialIdeal]:
-    """Yield every Artinian lex-segment ideal with generators in
-    degrees <= max_deg, each exactly once, in a fixed deterministic
-    order (lexicographic in the segment-size vectors).
+def enumerate_artinian_lex(max_deg: int) -> Iterator[MonomialIdeal]:
+    """Yield every Artinian lex-segment ideal in three variables with
+    generators in degrees <= max_deg, each exactly once, in a fixed
+    deterministic order (lexicographic in the segment-size vectors).
     """
-    if n != 3:
-        raise ValueError("enumeration is implemented for 3 variables only")
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
 
@@ -79,9 +58,8 @@ class CampaignConfig:
     """What to run: degree bound, check subset, worker processes."""
 
     max_deg: int
-    checks: tuple[str, ...] = CHECKS
+    checks: tuple[str, ...] = tuple(CHECKS)
     parallelism: int = 1
-    n: int = 3
 
 
 @dataclass
@@ -125,7 +103,7 @@ def _run_checks(ideal: MonomialIdeal, checks: tuple[str, ...]):
     """
     rows = []
     for name in checks:
-        report = _CHECK_FUNCTIONS[name](ideal)
+        report = CHECKS[name](ideal)
         kind, verdict, witness = _reduce_report(report)
         rows.append((name, kind, verdict, witness))
     return (repr(ideal), tuple(rows))
@@ -137,20 +115,21 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     The summary is deterministic and independent of parallelism: worker
     results are merged in enumeration order.
     """
-    if config.n != 3:
-        raise ValueError("campaigns are implemented for 3 variables only")
-    if config.max_deg < 1:
-        raise ValueError("max_deg must be at least 1")
     checks = tuple(config.checks)
     if not checks:
         raise ValueError("no checks selected")
-    unknown = [c for c in checks if c not in _CHECK_FUNCTIONS]
+    unknown = [c for c in checks if c not in CHECKS]
     if unknown:
-        raise ValueError(f"unknown checks: {', '.join(unknown)}")
+        raise ValueError(
+            f"unknown checks: {', '.join(unknown)} "
+            f"(available: {', '.join(CHECKS)})"
+        )
+    if config.max_deg < 1:
+        raise ValueError("max_deg must be at least 1")
     if config.parallelism < 1:
         raise ValueError("parallelism must be at least 1")
 
-    ideals = enumerate_artinian_lex(config.max_deg, config.n)
+    ideals = enumerate_artinian_lex(config.max_deg)
     worker = partial(_run_checks, checks=checks)
     if config.parallelism == 1:
         return _merge(map(worker, ideals), checks)

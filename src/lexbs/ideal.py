@@ -19,7 +19,6 @@ from typing import NamedTuple, Union
 
 from .monomial import (
     Monomial,
-    divides,
     div_var,
     format_monomial,
     glex_key,
@@ -125,7 +124,7 @@ def minimalize(monos, n: int | None = None):
     candidates = sorted(set(monos), key=lambda m: m.degree)
     kept: list[Monomial] = []
     for m in candidates:
-        if not any(divides(g, m) for g in kept):
+        if not _divisible(m.exponents, kept):
             kept.append(m)
     return MonomialIdeal(n, kept)
 
@@ -136,10 +135,6 @@ def min_gen_degree(I: MonomialIdeal) -> int:
 
 def max_gen_degree(I: MonomialIdeal) -> int:
     return max(g.degree for g in I.gens)
-
-
-def gens_of_degree(I: MonomialIdeal, d: int) -> tuple[Monomial, ...]:
-    return tuple(g for g in I.gens if g.degree == d)
 
 
 def _divisible(e: tuple[int, ...], gens) -> bool:

@@ -47,9 +47,6 @@ class Monomial:
     def __repr__(self):
         return f"Monomial({self.exponents!r})"
 
-    def is_unit(self) -> bool:
-        return self.degree == 0
-
 
 def one(n: int) -> Monomial:
     """The unit monomial 1 in n variables."""

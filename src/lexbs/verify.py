@@ -3,7 +3,9 @@
 Each check takes an ideal and returns a CheckReport with a hypothesis
 status (applicable / excluded(reason) / vacuous(reason)), a verdict
 (pass / fail plus a concrete witness on failure), and enough detail to
-reproduce the comparison by hand.  The checks:
+reproduce the comparison by hand.  CHECKS maps the name of each law,
+as `lexbs check` and `lexbs enumerate --checks` accept it, to its check.
+The checks:
 
 - check_colon_prefix: the full-length summands of the chain of
   (L : x_1), shifted by +1, open the chain of L, with equal
@@ -398,6 +400,8 @@ def check_cone_assembly(L: MonomialIdeal) -> CheckReport:
     """
     if not is_lex_segment(L):
         return CheckReport(L, "vacuous(not a lex-segment ideal)")
+    if L.n < 2:
+        return CheckReport(L, "vacuous(one variable: nothing to split)")
     colon, xfree = split_x(L)
     if isinstance(colon, UnitIdeal):
         return CheckReport(L, "vacuous(colon by x_1 is the unit ideal)")
@@ -457,6 +461,8 @@ def check_split_identities(L: MonomialIdeal) -> CheckReport:
     """
     if not is_lex_segment(L):
         return CheckReport(L, "vacuous(not a lex-segment ideal)")
+    if L.n < 2:
+        return CheckReport(L, "vacuous(one variable: nothing to split)")
     failures: list[str] = []
     n = L.n
     for i in range(1, n + 1):
@@ -539,3 +545,16 @@ def _two_variable_column_identities(J: MonomialIdeal) -> list[str]:
                 f"full degree-{k} piece but entries persist at {sorted(above)}"
             )
     return problems
+
+
+# The one registry of the laws, in the column order of a campaign.  Keep it
+# a dict of the check functions: `lexbs check` and the campaign look a check
+# up here at each call, so a value rebound here reaches both.
+CHECKS = {
+    "thm1": check_colon_prefix,
+    "thm2": check_tail_agreement,
+    "conjecture": check_excluded_family_tails,
+    "ek_vs_cone": check_cone_assembly,
+    "bhp": check_lex_dominance,
+    "lemmas": check_split_identities,
+}

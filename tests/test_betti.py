@@ -17,7 +17,6 @@ import pytest
 
 from lexbs.betti import (
     BettiDiagram,
-    diagram_sum,
     ek_betti,
     mapping_cone_betti,
     proj_dim,
@@ -129,20 +128,6 @@ def test_diagram_equality_across_number_types():
     A = BettiDiagram(3, {(0, 2): 1})
     B = BettiDiagram(3, {(0, 2): Fraction(1)})
     assert A == B
-
-
-def test_dominated_by():
-    small = BettiDiagram(3, {(0, 2): 1, (1, 3): 2})
-    big = BettiDiagram(3, {(0, 2): 1, (1, 3): 5, (2, 4): 1})
-    assert small.dominated_by(big)
-    assert not big.dominated_by(small)
-
-
-def test_diagram_sum():
-    A = BettiDiagram(3, {(0, 2): 1})
-    B = BettiDiagram(3, {(0, 2): 2, (1, 3): 1})
-    total = diagram_sum([(1, A.items()), (Fraction(1, 2), B.items())], 3)
-    assert total == BettiDiagram(3, {(0, 2): 2, (1, 3): Fraction(1, 2)})
 
 
 def test_hilbert_alternating_sum_identity():

@@ -5,11 +5,13 @@ import time
 import pytest
 
 from lexbs.betti import ek_betti, quotient_diagram
-from lexbs.ideal import UnitIdeal, minimalize
+from lexbs.enumeration import _run_checks, enumerate_artinian_lex
+from lexbs.ideal import UnitIdeal, format_ideal, minimalize
 from lexbs.monomial import Monomial
 from lexbs.verify import CheckReport
 
 import lexbs.cli as cli
+import lexbs.verify as verify
 from lexbs.cli import IdealSyntaxError, main, parse_ideal, render_betti
 
 from conftest import SPLICE8_TEXT, STAGGER_TEXT, m
@@ -193,10 +195,36 @@ def test_check_failure_exit(capsys, monkeypatch):
     def always_fails(ideal):
         return CheckReport(ideal, "applicable", "fail", "synthetic witness")
 
-    monkeypatch.setitem(cli._CHECKERS, "bhp", always_fails)
+    monkeypatch.setitem(verify.CHECKS, "bhp", always_fails)
     code, out, err = run(capsys, "check", "bhp", "x, y, z")
     assert code == 1
     assert "witness: synthetic witness" in out
+
+
+def test_check_help_lists_every_law(capsys):
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    out = capsys.readouterr().out
+    assert "{thm1,thm2,conjecture,ek_vs_cone,bhp,lemmas}" in out
+
+
+@pytest.mark.parametrize("name", list(verify.CHECKS))
+def test_check_replays_campaign_rows(capsys, name):
+    # Each campaign row is reproduced by `lexbs check <name> "<ideal>"`.
+    for L in enumerate_artinian_lex(3):
+        [(_, kind, verdict, _)] = _run_checks(L, (name,))[1]
+        code, out, err = run(capsys, "check", name, format_ideal(L))
+        fields = dict(line.split(": ", 1) for line in out.splitlines())
+        assert fields["status"].split("(", 1)[0] == kind
+        assert fields["verdict"] == (verdict or "(nothing checked)")
+        assert code == (1 if verdict == "fail" else 2 if kind == "excluded" else 0)
+
+
+@pytest.mark.parametrize("name", ["ek_vs_cone", "lemmas"])
+def test_check_splitting_in_one_variable_is_vacuous(capsys, name):
+    code, out, err = run(capsys, "check", name, "x^2", "--vars", "1")
+    assert code == 0
+    assert "status: vacuous(one variable: nothing to split)" in out
 
 
 def test_explain_command(capsys):

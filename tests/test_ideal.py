@@ -14,7 +14,6 @@ from lexbs.ideal import (
     colon_variable,
     contains,
     format_ideal,
-    gens_of_degree,
     hilbert_value,
     is_artinian,
     is_lex_segment,
@@ -249,8 +248,6 @@ def test_gens_of_degree_and_degree_range():
     I = stagger()
     assert min_gen_degree(I) == 2
     assert max_gen_degree(I) == 9
-    assert gens_of_degree(I, 4) == (m(0, 4, 0), m(0, 3, 1), m(0, 2, 2))
-    assert gens_of_degree(I, 6) == ()
 
 
 def test_lexify_fixed_point():
