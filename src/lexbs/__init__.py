@@ -40,8 +40,8 @@ from .pure import NotDecomposable, pure_diagram, seq_leq, top_degree_sequence
 from .decompose import (
     Decomposition,
     bs_decompose,
-    length_filter,
     reconstruct,
+    split_by_length,
     unit_normalized,
 )
 from .verify import (

@@ -34,52 +34,37 @@ class Decomposition:
         return iter(self.summands)
 
 
-@dataclass(frozen=True)
-class SummandSlice:
-    """A length-filtered view of a decomposition's summands."""
-
-    summands: tuple[tuple[Fraction, tuple[int, ...]], ...]
-    is_prefix: bool
-    is_suffix: bool
-
-
 def bs_decompose(B: BettiDiagram) -> Decomposition:
     """Greedy decomposition of a nonzero diagram into pure diagrams.
 
     Each step subtracts alpha * pi(d) where d is the top degree sequence
-    of the remainder and alpha = min_i remainder[i, d_i] / entry_i; this
-    zeroes at least one entry, so the step count is bounded by the number
-    of nonzero entries.  Diagrams outside the cone surface as
-    NotDecomposable, either through a malformed top sequence or through
-    a negative entry after subtraction.
+    of the remainder and alpha = min_i remainder[i, d_i] / entry_i.
+    Diagrams outside the cone surface as NotDecomposable, either through
+    a malformed top sequence or through a negative entry after
+    subtraction.
     """
-    work = {key: Fraction(v) for key, v in B.items()}
-    if not work:
+    remainder = {key: Fraction(v) for key, v in B.items()}
+    if not remainder:
         raise NotDecomposable("cannot decompose an empty diagram")
     summands: list[tuple[Fraction, tuple[int, ...]]] = []
-    max_steps = len(work)
-    for _ in range(max_steps):
-        if not work:
-            break
-        remainder = BettiDiagram(B.n, work)
+    # Entries stay positive, so alpha > 0; the minimizing entry drops to
+    # exactly zero and is deleted, so every step shrinks the remainder and
+    # the loop ends with it empty.
+    while remainder:
         seq = top_degree_sequence(remainder)
         pi = pure_diagram(seq)
-        alpha = min(work[(i, d)] / e for (i, d), e in pi.items())
-        if alpha <= 0:
-            raise NotDecomposable(f"nonpositive multiplier at {seq}")
+        alpha = min(remainder[key] / e for key, e in pi.items())
         for (i, d), e in pi.items():
-            v = work[(i, d)] - alpha * e
+            v = remainder[(i, d)] - alpha * e
             if v < 0:
                 raise NotDecomposable(
                     f"entry ({i}, {d}) driven negative by pi{seq}"
                 )
             if v == 0:
-                del work[(i, d)]
+                del remainder[(i, d)]
             else:
-                work[(i, d)] = v
+                remainder[(i, d)] = v
         summands.append((alpha, seq))
-    if work:
-        raise NotDecomposable("greedy steps did not exhaust the diagram")
     return Decomposition(tuple(summands))
 
 
@@ -93,25 +78,16 @@ def reconstruct(D: Decomposition, n: int) -> BettiDiagram:
     return BettiDiagram(n, out)
 
 
-def length_filter(D: Decomposition, length: int, mode: str) -> SummandSlice:
-    """Summands whose sequence length is exactly, or less than, `length`.
+def split_by_length(D: Decomposition, length: int) -> tuple[tuple, tuple]:
+    """The summands with exactly `length` entries, and those with fewer.
 
-    Also reports whether the selected summands sit as a contiguous
-    prefix / suffix of the chain, which the non-increasing length
-    property guarantees for the two modes used downstream.
+    Both keep chain order.  Lengths never grow along a chain, so on the
+    chain of an ideal in `length` variables they are its prefix and its
+    suffix.
     """
-    if mode == "exactly":
-        pred = lambda k: k == length
-    elif mode == "less-than":
-        pred = lambda k: k < length
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    idx = [k for k, (_, seq) in enumerate(D.summands) if pred(len(seq))]
-    picked = tuple(D.summands[k] for k in idx)
-    total = len(D.summands)
-    is_prefix = idx == list(range(len(idx)))
-    is_suffix = idx == list(range(total - len(idx), total))
-    return SummandSlice(picked, is_prefix, is_suffix)
+    full = tuple(pair for pair in D.summands if len(pair[1]) == length)
+    short = tuple(pair for pair in D.summands if len(pair[1]) < length)
+    return full, short
 
 
 def unit_normalized(D: Decomposition) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:

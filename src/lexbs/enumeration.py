@@ -40,8 +40,6 @@ def enumerate_artinian_lex(max_deg: int) -> Iterator[MonomialIdeal]:
         choices = (full,) if d == max_deg else range(lower, full + 1)
         master = monomials_of_degree(3, d)
         for t in choices:
-            if t < lower:
-                continue
             new_gens = master[lower:t]
             gens.extend(new_gens)
             if d == max_deg:
@@ -124,6 +122,9 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
             f"unknown checks: {', '.join(unknown)} "
             f"(available: {', '.join(CHECKS)})"
         )
+    repeated = [c for c in CHECKS if checks.count(c) > 1]
+    if repeated:
+        raise ValueError(f"checks named more than once: {', '.join(repeated)}")
     if config.max_deg < 1:
         raise ValueError("max_deg must be at least 1")
     if config.parallelism < 1:

@@ -85,14 +85,15 @@ def seq_leq(s, t) -> bool:
     return all(si <= ti for si, ti in zip(s, t))
 
 
-def top_degree_sequence(B: BettiDiagram) -> tuple[int, ...]:
+def top_degree_sequence(B) -> tuple[int, ...]:
     """Degree sequence of the maximal pure diagram under a nonzero B.
 
-    Column i contributes its minimal internal degree with a nonzero
-    entry.  Raises NotDecomposable when the nonzero columns are not a
-    prefix 0..p-1 or the minima fail to strictly increase.
+    B is a BettiDiagram or any mapping (i, j) -> nonzero entry.  Column
+    i contributes its minimal internal degree with an entry.  Raises
+    NotDecomposable when the columns are not a prefix 0..p-1 or the
+    minima fail to strictly increase.
     """
-    if not B.entries:
+    if not B:
         raise NotDecomposable("empty diagram has no top degree sequence")
     by_col: dict[int, int] = {}
     for (i, j), _ in B.items():

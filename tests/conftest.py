@@ -23,6 +23,27 @@ def m(*exps):
     return Monomial(exps)
 
 
+def borel_closure(monos):
+    """Exponent tuples closed under u -> x_i * u / x_j for i < j.
+
+    The ideal they generate is strongly stable, so stable.
+    """
+    todo, seen = list(monos), set(monos)
+    while todo:
+        e = todo.pop()
+        for j in range(1, len(e)):
+            if e[j]:
+                for i in range(j):
+                    f = list(e)
+                    f[j] -= 1
+                    f[i] += 1
+                    f = tuple(f)
+                    if f not in seen:
+                        seen.add(f)
+                        todo.append(f)
+    return seen
+
+
 SPLICE8_TEXT = (
     "x^2, xy^2, xyz, xz^2, y^8, y^7z, y^6z^2, y^5z^3, y^4z^4, "
     "y^3z^5, y^2z^6, yz^7, z^8"

@@ -10,16 +10,19 @@ s <= t iff s is at least as long and s_i <= t_i componentwise.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexbs.betti import BettiDiagram, ek_betti, quotient_diagram
 from lexbs.decompose import (
     Decomposition,
     bs_decompose,
-    length_filter,
     reconstruct,
+    split_by_length,
     unit_normalized,
 )
 from lexbs.enumeration import enumerate_artinian_lex
+from lexbs.ideal import minimalize
+from lexbs.monomial import Monomial
 from lexbs.pure import NotDecomposable, pure_diagram, seq_leq
 from lexbs.cli import parse_ideal
 
@@ -30,6 +33,7 @@ from conftest import (
     QUADRIC_QUOTIENT_UNIT,
     QUADRIC_TEXT,
     SPLICE8_CHAIN,
+    borel_closure,
     splice8,
     stagger,
     STAGGER_CHAIN,
@@ -110,19 +114,45 @@ def test_not_decomposable_inputs():
         bs_decompose(BettiDiagram(3, {}))
 
 
-def test_length_filter():
-    chain = bs_decompose(ek_betti(splice8()))
-    full = length_filter(chain, 3, "exactly")
-    assert as_pairs(Decomposition(full.summands)) == SPLICE8_CHAIN[:3]
-    assert full.is_prefix and not full.is_suffix
-    tail = length_filter(chain, 3, "less-than")
-    assert tuple((c, s) for c, s in tail.summands) == SPLICE8_CHAIN[3:]
-    assert tail.is_suffix and not tail.is_prefix
-    with pytest.raises(ValueError):
-        length_filter(chain, 3, "at-most")
+def test_split_by_length():
+    full, short = split_by_length(bs_decompose(ek_betti(splice8())), 3)
+    assert full == SPLICE8_CHAIN[:3]
+    assert short == SPLICE8_CHAIN[3:]
 
 
 def test_deterministic():
     a = bs_decompose(ek_betti(stagger()))
     b = bs_decompose(ek_betti(stagger()))
     assert as_pairs(a) == as_pairs(b)
+
+
+@st.composite
+def _stable_ideals(draw, max_deg=5):
+    """A random stable ideal in 2-4 variables: a Borel-closed set."""
+    n = draw(st.integers(2, 4))
+    exps = st.tuples(*[st.integers(0, max_deg)] * n).filter(
+        lambda e: 0 < sum(e) <= max_deg
+    )
+    monos = borel_closure(draw(st.lists(exps, min_size=1, max_size=4)))
+    return minimalize([Monomial(e) for e in monos], n)
+
+
+def _assert_exact_chain(B, chain, n):
+    assert reconstruct(chain, n) == B
+    seqs = chain.sequences()
+    for a, b in zip(seqs, seqs[1:]):
+        assert seq_leq(a, b) and a != b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stable_ideals())
+def test_greedy_chain_property(I):
+    B = ek_betti(I)
+    chain = bs_decompose(B)
+    _assert_exact_chain(B, chain, I.n)
+    # On an ideal in n variables the full-length summands open the chain
+    # and the shorter ones close it.
+    full, short = split_by_length(chain, I.n)
+    assert full + short == chain.summands
+    Q = quotient_diagram(B)
+    _assert_exact_chain(Q, bs_decompose(Q), I.n)

@@ -136,5 +136,7 @@ def test_campaign_validation():
         run_campaign(CampaignConfig(max_deg=2, checks=()))
     with pytest.raises(ValueError):
         run_campaign(CampaignConfig(max_deg=2, checks=("thm3",)))
+    with pytest.raises(ValueError, match="more than once: bhp"):
+        run_campaign(CampaignConfig(max_deg=2, checks=("bhp", "bhp")))
     with pytest.raises(ValueError):
         run_campaign(CampaignConfig(max_deg=2, parallelism=0))

@@ -30,7 +30,7 @@ from lexbs.ideal import (
 from lexbs.monomial import Monomial, divides, glex_compare, monomials_of_degree, one
 from lexbs.cli import parse_ideal
 
-from conftest import FAMILY26_TEXT, SPLICE8_TEXT, m, splice8, stagger
+from conftest import FAMILY26_TEXT, SPLICE8_TEXT, borel_closure, m, splice8, stagger
 
 
 def _contains_by_divisibility(I, u):
@@ -298,24 +298,6 @@ def _hilbert_by_count(I, d):
     )
 
 
-def _borel_closure(monos):
-    # Close under u -> x_i * u / x_j for i < j; strongly stable, so stable.
-    todo, seen = list(monos), set(monos)
-    while todo:
-        e = todo.pop()
-        for j in range(1, len(e)):
-            if e[j]:
-                for i in range(j):
-                    f = list(e)
-                    f[j] -= 1
-                    f[i] += 1
-                    f = tuple(f)
-                    if f not in seen:
-                        seen.add(f)
-                        todo.append(f)
-    return seen
-
-
 @st.composite
 def _ideals(draw, max_deg=6):
     """A random nonzero proper ideal in 2-4 variables, stable or not."""
@@ -325,7 +307,7 @@ def _ideals(draw, max_deg=6):
     )
     monos = draw(st.lists(exps, min_size=1, max_size=5))
     if draw(st.booleans()):
-        monos = _borel_closure(monos)
+        monos = borel_closure(monos)
     return minimalize([Monomial(e) for e in monos], n)
 
 

@@ -317,6 +317,23 @@ def test_split_identities():
     assert vac.status == "vacuous(not a lex-segment ideal)"
 
 
+def test_split_identities_catch_a_wrong_split(monkeypatch):
+    # A split whose colon gains y rebuilds x*y, which is not a generator.
+    from lexbs import verify
+    from lexbs.ideal import Split, add_variable, split_x
+
+    def wrong_split(L):
+        colon, xfree = split_x(L)
+        return Split(add_variable(colon, 2), xfree)
+
+    monkeypatch.setattr(verify, "split_x", wrong_split)
+    report = check_split_identities(splice8())
+    assert report.verdict == "fail"
+    assert report.witness.startswith(
+        "splitting failed to reconstruct generators"
+    )
+
+
 # -------------------------------------------------------- four variables
 
 
