@@ -67,6 +67,12 @@ def ek_betti(I: MonomialIdeal) -> BettiDiagram:
     violating generator.
     """
     _require_stable(I)
+    return _ek_diagram(I)
+
+
+def _ek_diagram(I: MonomialIdeal) -> BettiDiagram:
+    """The Eliahou-Kervaire count of ek_betti, for callers that already
+    know I is stable."""
     entries: dict[tuple[int, int], int] = {}
     for g in I.gens:
         m = max_index(g)

@@ -13,6 +13,7 @@ slice of the master list between the shadow size and t_d.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -98,13 +99,16 @@ def _run_checks(ideal: MonomialIdeal, checks: tuple[str, ...]):
 
     Returns primitives only, so results cross process boundaries
     cheaply: (ideal repr, ((check, status kind, verdict, witness), ...)).
+    Only a failure witness names the ideal, so the repr is None when no
+    check failed.
     """
     rows = []
     for name in checks:
         report = CHECKS[name](ideal)
         kind, verdict, witness = _reduce_report(report)
         rows.append((name, kind, verdict, witness))
-    return (repr(ideal), tuple(rows))
+    failed = any(row[2] == "fail" for row in rows)
+    return (repr(ideal) if failed else None, tuple(rows))
 
 
 def run_campaign(config: CampaignConfig) -> CampaignSummary:
@@ -130,17 +134,25 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     if config.parallelism < 1:
         raise ValueError("parallelism must be at least 1")
 
+    workers = worker_count(config.parallelism, os.cpu_count())
     ideals = enumerate_artinian_lex(config.max_deg)
     worker = partial(_run_checks, checks=checks)
-    if config.parallelism == 1:
+    if workers == 1:
         return _merge(map(worker, ideals), checks)
-    with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
             return _merge(pool.map(worker, ideals, chunksize=64), checks)
         except BaseException:
             # Drop the queued chunks: leaving the block waits for the pool.
             pool.shutdown(cancel_futures=True)
             raise
+
+
+def worker_count(requested: int, cpus: Optional[int]) -> int:
+    """Worker processes for a campaign that asks for `requested` on a
+    host with `cpus` CPUs (None when unknown): no more than the CPUs.
+    More would only take turns on them, each with its own caches."""
+    return min(requested, cpus or 1)
 
 
 def _merge(results, checks: tuple[str, ...]) -> CampaignSummary:

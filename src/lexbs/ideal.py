@@ -168,8 +168,9 @@ def _exponents_of_degree(n: int, d: int):
         yield tuple(e)
 
 
-def _hilbert_function(I: MonomialIdeal):
-    """d -> dim_k I_d, with the counting method chosen once for I.
+def _hilbert_function(I: MonomialIdeal, stable: bool):
+    """d -> dim_k I_d, with the counting method chosen by `stable`, which
+    says whether I is stable.
 
     On stable input every degree-d monomial of I is u * v for exactly one
     generator u and one v in the variables x_m(u)..x_n (Eliahou-Kervaire),
@@ -177,7 +178,7 @@ def _hilbert_function(I: MonomialIdeal):
     is counted tuple by tuple through divisibility.
     """
     n = I.n
-    if is_stable(I):
+    if stable:
         cells = [(g.degree, n - max_index(g)) for g in I.gens]
         return lambda d: sum(comb(d - j + f, f) for j, f in cells if j <= d)
     return lambda d: sum(
@@ -193,7 +194,7 @@ def hilbert_value(I: Ideal, d: int) -> int:
         return comb(d + I.n - 1, I.n - 1)
     if isinstance(I, ZeroIdeal):
         return 0
-    return _hilbert_function(I)(d)
+    return _hilbert_function(I, is_stable(I))(d)
 
 
 # maxsize=0 stores nothing: the wrapper is kept for its call counter,
@@ -345,10 +346,18 @@ def lexify(I: MonomialIdeal) -> MonomialIdeal:
     that value.  The walk stops at the first degree above
     max_gen_degree(I) that brings no generator: from there the shadow
     already accounts for every Hilbert value (Gotzmann persistence).
-    Fixed point on lex-segment input.
+    Lex-segment input is its own lexification and comes back as is.
     """
+    if is_lex_segment(I):
+        return I
+    return _lex_walk(I, is_stable(I))
+
+
+def _lex_walk(I: MonomialIdeal, stable: bool) -> MonomialIdeal:
+    """The degree walk of lexify, for a caller that has decided whether
+    I is stable."""
     n = I.n
-    hilbert = _hilbert_function(I)
+    hilbert = _hilbert_function(I, stable)
     top = max_gen_degree(I)
     # The walk always ends; the limit only stops a Hilbert function that
     # is not one of an ideal.  It grows with the top generator degree D

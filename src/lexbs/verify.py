@@ -20,21 +20,28 @@ The checks:
 - check_lex_dominance: Betti numbers never drop under lexification.
 - check_split_identities: structural facts about the splitting
   L = x_1*(L : x_1) + J used throughout.
+
+The checks read what they derive from L (the lex, Artinian and stable
+tests, the split, the colons, (L, x_1), the Betti diagrams of L and J)
+from one IdealFacts, which computes each item at most once.  Only the
+facts of the last ideal handed to a check are kept, so the checks of a
+campaign share them while memory holds one ideal's worth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
-from .betti import ek_betti, mapping_cone_betti
+from .betti import _ek_diagram, ek_betti, mapping_cone_betti
 from .decompose import Decomposition, bs_decompose, split_by_length
 from .ideal import (
     MonomialIdeal,
     UnitIdeal,
     ZeroIdeal,
+    _lex_walk,
     add_variable,
     colon_variable,
     contains,
@@ -42,7 +49,6 @@ from .ideal import (
     is_artinian,
     is_lex_segment,
     is_stable,
-    lexify,
     max_gen_degree,
     min_gen_degree,
     minimalize,
@@ -78,6 +84,76 @@ def chain_of(I: MonomialIdeal) -> Decomposition:
     return bs_decompose(ek_betti(I))
 
 
+class IdealFacts:
+    """What the checks derive from one ideal L, each item computed on
+    first use and then kept.
+
+    The items call the module-level functions at that moment, so a
+    function rebound here (a tracer, a fault injected by a test) is the
+    one used.  The items that need L lex (the split, the colon by x_1)
+    are read only after the lex test.
+    """
+
+    def __init__(self, ideal: MonomialIdeal):
+        self.ideal = ideal
+        self._colons: dict[int, object] = {}
+
+    @cached_property
+    def lex(self) -> bool:
+        return is_lex_segment(self.ideal)
+
+    @cached_property
+    def artinian(self) -> bool:
+        return is_artinian(self.ideal)
+
+    @cached_property
+    def stable(self) -> bool:
+        return is_stable(self.ideal)
+
+    @cached_property
+    def split(self):
+        """L = x_1 * (L : x_1) + J, for lex L in two or more variables."""
+        return split_x(self.ideal)
+
+    def colon(self, i: int):
+        """(L : x_i); the colon by x_1 is the split's when there is one."""
+        if i == 1 and self.ideal.n > 1:
+            return self.split.colon
+        if i not in self._colons:
+            self._colons[i] = colon_variable(self.ideal, i)
+        return self._colons[i]
+
+    @cached_property
+    def augmented(self):
+        """(L, x_1)."""
+        return add_variable(self.ideal, 1)
+
+    @cached_property
+    def diagram(self):
+        """Betti diagram of L; the stability answer held here stands in
+        for ek_betti's own test."""
+        if self.stable:
+            return _ek_diagram(self.ideal)
+        return ek_betti(self.ideal)  # raises, naming the violation
+
+    @cached_property
+    def xfree_diagram(self):
+        """Betti diagram of J, the x_1-free part of the split."""
+        return ek_betti(self.split.xfree)
+
+
+_last_facts: Optional[IdealFacts] = None
+
+
+def facts_of(L: MonomialIdeal) -> IdealFacts:
+    """The facts of L: those of the last ideal asked for when that was
+    this very object, new ones otherwise."""
+    global _last_facts
+    if _last_facts is None or _last_facts.ideal is not L:
+        _last_facts = IdealFacts(L)
+    return _last_facts
+
+
 def _shift_seq(seq: tuple[int, ...], by: int = 1) -> tuple[int, ...]:
     return tuple(d + by for d in seq)
 
@@ -89,13 +165,14 @@ def check_colon_prefix(L: MonomialIdeal) -> CheckReport:
     every degree raised by one, must open L's chain: same sequences,
     same coefficients except that the last one may grow.
     """
-    if not is_lex_segment(L):
+    f = facts_of(L)
+    if not f.lex:
         return CheckReport(L, "excluded(not a lex-segment ideal)")
-    if not is_artinian(L):
+    if not f.artinian:
         return CheckReport(
             L, "excluded(no pure power of some variable: quotient not Artinian)"
         )
-    colon = colon_variable(L, 1)
+    colon = f.colon(1)
     if isinstance(colon, UnitIdeal):
         return CheckReport(L, "vacuous(colon by x_1 is the unit ideal)")
     n = L.n
@@ -166,7 +243,7 @@ def _compare_tails(tail_a, tail_b) -> Optional[str]:
 def _tail_report(L: MonomialIdeal, status: str) -> CheckReport:
     """Shared tail comparison between the chains of L and (L, x_1)."""
     n = L.n
-    Lx = add_variable(L, 1)
+    Lx = facts_of(L).augmented
     _, tail_L = split_by_length(chain_of(L), n)
     _, tail_Lx = split_by_length(chain_of(Lx), n)
     details = {"tail": tail_L, "augmented_tail": tail_Lx, "augmented": Lx}
@@ -187,7 +264,7 @@ def classify_excluded_family(L: MonomialIdeal):
         return "not a 3-variable ideal"
     if contains(L, variable(1, 3)):
         return "x is a generator, so the colon by x is the unit ideal"
-    colon, xfree = split_x(L)
+    colon, xfree = facts_of(L).split
     if isinstance(colon, UnitIdeal) or isinstance(xfree, ZeroIdeal):
         return "splitting is degenerate"
     shape = sorted(colon.gens, key=lambda g: g.exponents, reverse=True)
@@ -219,9 +296,10 @@ def check_tail_agreement(L: MonomialIdeal) -> CheckReport:
     1 < t < k-1 is outside the hypothesis; such ideals are reported
     excluded but the comparison is still evaluated and recorded.
     """
-    if not is_lex_segment(L):
+    f = facts_of(L)
+    if not f.lex:
         return CheckReport(L, "excluded(not a lex-segment ideal)")
-    if not is_artinian(L):
+    if not f.artinian:
         return CheckReport(L, "vacuous(quotient not Artinian)")
     if contains(L, variable(1, L.n)):
         # (L, x_1) = L, so the two tails are the same list.
@@ -239,9 +317,10 @@ def check_tail_agreement(L: MonomialIdeal) -> CheckReport:
 
 def check_excluded_family_tails(L: MonomialIdeal) -> CheckReport:
     """Tail agreement on the family the previous check excludes."""
-    if not is_lex_segment(L):
+    f = facts_of(L)
+    if not f.lex:
         return CheckReport(L, "excluded(wrong-family: not a lex-segment ideal)")
-    if not is_artinian(L):
+    if not f.artinian:
         return CheckReport(L, "excluded(wrong-family: quotient not Artinian)")
     family = classify_excluded_family(L)
     if not isinstance(family, tuple):
@@ -340,17 +419,18 @@ def explain_chain(L: MonomialIdeal) -> ProvenanceReport:
     """Annotate the chain of an Artinian lex ideal in three variables."""
     if L.n != 3:
         raise ValueError("provenance annotation needs a 3-variable ideal")
-    if not is_lex_segment(L):
+    f = facts_of(L)
+    if not f.lex:
         raise ValueError("provenance annotation needs a lex-segment ideal")
-    if not is_artinian(L):
+    if not f.artinian:
         raise ValueError("provenance annotation needs an Artinian quotient")
     chains = {}
     for idx, name in enumerate(COLON_SOURCES, start=1):
-        c = colon_variable(L, idx)
+        c = f.colon(idx)
         chains[name] = (
             Decomposition(()) if isinstance(c, UnitIdeal) else chain_of(c)
         )
-    chains[AUGMENTED_SOURCE] = chain_of(add_variable(L, 1))
+    chains[AUGMENTED_SOURCE] = chain_of(f.augmented)
     source_chains = {name: ch.summands for name, ch in chains.items()}
     # Every chain here belongs to an ideal in three variables, so its
     # full-length summands are a prefix and its short ones the suffix.
@@ -398,17 +478,18 @@ def check_cone_assembly(L: MonomialIdeal) -> CheckReport:
     Needs both split pieces to be proper: the colon not the unit ideal
     and at least one x_1-free generator.
     """
-    if not is_lex_segment(L):
+    f = facts_of(L)
+    if not f.lex:
         return CheckReport(L, "vacuous(not a lex-segment ideal)")
     if L.n < 2:
         return CheckReport(L, "vacuous(one variable: nothing to split)")
-    colon, xfree = split_x(L)
+    colon, xfree = f.split
     if isinstance(colon, UnitIdeal):
         return CheckReport(L, "vacuous(colon by x_1 is the unit ideal)")
     if isinstance(xfree, ZeroIdeal):
         return CheckReport(L, "vacuous(no x_1-free generators)")
-    cone = mapping_cone_betti(ek_betti(colon), ek_betti(xfree))
-    direct = ek_betti(L)
+    cone = mapping_cone_betti(ek_betti(colon), f.xfree_diagram)
+    direct = f.diagram
     details = {"cone": cone, "direct": direct}
     # Both diagrams have L.n, so they differ exactly where an entry does.
     for i, j in sorted(set(cone.entries) | set(direct.entries)):
@@ -426,13 +507,15 @@ def check_cone_assembly(L: MonomialIdeal) -> CheckReport:
 
 def check_lex_dominance(I: MonomialIdeal) -> CheckReport:
     """Betti numbers of a stable ideal never exceed its lexification's."""
-    if not is_stable(I):
+    f = facts_of(I)
+    if not f.stable:
         return CheckReport(
             I, "vacuous(not stable: the Betti formula does not apply)"
         )
-    lex = lexify(I)
-    B = ek_betti(I)
-    B_lex = ek_betti(lex)
+    # A lex ideal is its own lexification (what lexify returns for it).
+    lex = I if f.lex else _lex_walk(I, True)
+    B = f.diagram
+    B_lex = B if lex is I else ek_betti(lex)
     details = {"lexification": lex, "equal": B == B_lex}
     for (i, j), v in sorted(B.items()):
         w = B_lex.get(i, j)
@@ -456,21 +539,22 @@ def check_split_identities(L: MonomialIdeal) -> CheckReport:
     min degree of J >= max degree of (L : x_1) + 1; the generator-count
     identities on J's Betti numbers in two variables.
     """
-    if not is_lex_segment(L):
+    f = facts_of(L)
+    if not f.lex:
         return CheckReport(L, "vacuous(not a lex-segment ideal)")
     if L.n < 2:
         return CheckReport(L, "vacuous(one variable: nothing to split)")
     failures: list[str] = []
     n = L.n
     for i in range(1, n + 1):
-        c = colon_variable(L, i)
+        c = f.colon(i)
         if not (isinstance(c, UnitIdeal) or is_lex_segment(c)):
             failures.append(
                 f"(L : x_{i}) = {format_ideal(c)} is not a lex segment"
             )
-    if not is_stable(L):
+    if not f.stable:
         failures.append("lex-segment ideal is not stable")
-    colon, xfree = split_x(L)
+    colon, xfree = f.split
     if isinstance(colon, UnitIdeal):
         rebuilt = {variable(1, n)}
     else:
@@ -506,15 +590,18 @@ def check_split_identities(L: MonomialIdeal) -> CheckReport:
                     f"not above max degree {gap_hi} of the colon"
                 )
         if xfree.n == 2:
-            failures.extend(_two_variable_column_identities(xfree))
+            failures.extend(
+                _two_variable_column_identities(xfree, f.xfree_diagram)
+            )
     details = {"failures": tuple(failures)}
     if failures:
         return CheckReport(L, "applicable", "fail", "; ".join(failures), details)
     return CheckReport(L, "applicable", "pass", None, details)
 
 
-def _two_variable_column_identities(J: MonomialIdeal) -> list[str]:
-    """Betti identities of a lex ideal in two variables.
+def _two_variable_column_identities(J: MonomialIdeal, c) -> list[str]:
+    """Betti identities of a lex ideal J in two variables, read from its
+    Betti diagram c.
 
     With k the least generator degree: c_{0,k} = c_{1,k+1} + 1, and
     c_{0,j} = c_{1,j+1} for every j > k (only the pure power of the
@@ -522,7 +609,6 @@ def _two_variable_column_identities(J: MonomialIdeal) -> list[str]:
     (c_{0,k} = k+1), the ideal is the whole power, so c_{1,k+1} = k and
     nothing lives above degree k.
     """
-    c = ek_betti(J)
     k = min_gen_degree(J)
     problems = []
     if c.get(0, k) != c.get(1, k + 1) + 1:

@@ -20,9 +20,13 @@ from lexbs.enumeration import (
     CampaignConfig,
     enumerate_artinian_lex,
     run_campaign,
+    worker_count,
 )
 from lexbs.ideal import (
     MonomialIdeal,
+    UnitIdeal,
+    add_variable,
+    colon_variable,
     is_artinian,
     is_lex_segment,
     max_gen_degree,
@@ -129,6 +133,18 @@ def test_campaign_releases_workers_when_a_check_raises(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_campaign_witness_names_the_ideal(monkeypatch):
+    def fails(ideal):
+        return verify.CheckReport(ideal, "applicable", "fail", "synthetic")
+
+    monkeypatch.setitem(verify.CHECKS, "bhp", fails)
+    summary = run_campaign(CampaignConfig(max_deg=2, checks=("thm1", "bhp")))
+    assert summary.witnesses == tuple(
+        ("bhp", repr(L), "synthetic") for L in enumerate_artinian_lex(2)
+    )
+    assert summary.exit_code == 1
+
+
 def test_campaign_validation():
     with pytest.raises(ValueError):
         run_campaign(CampaignConfig(max_deg=0))
@@ -140,3 +156,41 @@ def test_campaign_validation():
         run_campaign(CampaignConfig(max_deg=2, checks=("bhp", "bhp")))
     with pytest.raises(ValueError):
         run_campaign(CampaignConfig(max_deg=2, parallelism=0))
+
+
+def test_worker_count_is_clamped_to_the_cpus():
+    # The count only: no pool is started here.
+    assert worker_count(1, 2) == 1
+    assert worker_count(2, 2) == 2
+    assert worker_count(64, 2) == 2
+    assert worker_count(3, 8) == 3
+    assert worker_count(4, None) == 1
+
+
+@pytest.mark.parametrize("max_deg", range(1, 6))
+def test_campaign_outcome_does_not_depend_on_check_order(max_deg):
+    # The checks share the derived facts of each ideal; running them in
+    # the opposite order must not change any outcome.
+    forward = run_campaign(CampaignConfig(max_deg=max_deg))
+    backward = run_campaign(
+        CampaignConfig(max_deg=max_deg, checks=tuple(reversed(CHECKS)))
+    )
+    assert forward.total_ideals == backward.total_ideals
+    assert forward.stats == backward.stats
+    for name in CHECKS:
+        assert [w for w in forward.witnesses if w[0] == name] == [
+            w for w in backward.witnesses if w[0] == name
+        ]
+    assert forward.exit_code == backward.exit_code
+
+
+def test_colon_and_augmented_ideals_stay_in_the_enumeration():
+    # (L : x_1), when proper, and (L, x_1) of every campaign ideal are
+    # campaign ideals of the same degree bound.  This closure is why the
+    # chain cache hits on every chain the checks ask for beyond L's own.
+    for max_deg in range(1, 7):
+        ideals = set(enumerate_artinian_lex(max_deg))
+        for L in ideals:
+            colon = colon_variable(L, 1)
+            assert isinstance(colon, UnitIdeal) or colon in ideals, L
+            assert add_variable(L, 1) in ideals, L

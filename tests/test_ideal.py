@@ -252,7 +252,7 @@ def test_gens_of_degree_and_degree_range():
 
 def test_lexify_fixed_point():
     for I in (splice8(), stagger(), parse_ideal("x, y, z")):
-        assert lexify(I) == I
+        assert lexify(I) is I
 
 
 def test_lexify_quadratic_plane_ideal():

@@ -11,6 +11,7 @@ from lexbs.decompose import bs_decompose
 from lexbs.ideal import minimalize
 from lexbs.monomial import Monomial, monomials_of_degree
 from lexbs.verify import (
+    CHECKS,
     check_colon_prefix,
     check_cone_assembly,
     check_excluded_family_tails,
@@ -30,6 +31,7 @@ from conftest import (
     FAMILY26_TEXT,
     SPLICE8_AUGMENTED_CHAIN,
     SPLICE8_CHAIN,
+    SPLICE8_TEXT,
     STAGGER_TAIL,
     m,
     splice8,
@@ -332,6 +334,56 @@ def test_split_identities_catch_a_wrong_split(monkeypatch):
     assert report.witness.startswith(
         "splitting failed to reconstruct generators"
     )
+
+
+# ------------------------------------------------- facts shared by checks
+
+# Lex in the excluded family, lex, stable but not lex, not stable.
+SHARING_TEXTS = (FAMILY26_TEXT, SPLICE8_TEXT, "x^2, xy, y^2", "xz, y^2")
+
+
+def _check_outcome(check):
+    def read(L):
+        report = check(L)
+        return (report.status, report.verdict, report.witness)
+
+    return read
+
+
+def _explain_outcome(L):
+    try:
+        report = explain_chain(L)
+    except ValueError as exc:
+        return str(exc)
+    return (report.tagged, report.unused)
+
+
+# Every reader of the shared facts, as a function with comparable results.
+FACT_READERS = {
+    **{name: _check_outcome(check) for name, check in CHECKS.items()},
+    "explain": _explain_outcome,
+}
+
+
+def test_checks_never_see_another_ideals_facts():
+    # Each reader in isolation, on a freshly parsed ideal.
+    alone = {
+        (name, text): read(parse_ideal(text))
+        for name, read in FACT_READERS.items()
+        for text in SHARING_TEXTS
+    }
+    for text_a in SHARING_TEXTS:
+        for text_b in SHARING_TEXTS:
+            if text_a == text_b:
+                continue
+            A, B = parse_ideal(text_a), parse_ideal(text_b)
+            for name_1, read_1 in FACT_READERS.items():
+                for name_2, read_2 in FACT_READERS.items():
+                    A_again = parse_ideal(text_a)  # equal to A, not A
+                    assert read_1(A) == alone[name_1, text_a]
+                    assert read_2(B) == alone[name_2, text_b]
+                    assert read_1(A) == alone[name_1, text_a]
+                    assert read_2(A_again) == alone[name_2, text_a]
 
 
 # -------------------------------------------------------- four variables
