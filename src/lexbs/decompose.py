@@ -2,8 +2,8 @@
 
 Peel off the top pure diagram with the largest multiplier that keeps
 every entry nonnegative; repeat on the remainder.  All arithmetic is
-exact (Fraction), so reconstruction from the summands is an identity,
-not an approximation.  The degree sequences encountered form a
+exact, so reconstruction from the summands is an identity, not an
+approximation.  The degree sequences encountered form a
 descending chain in the seq_leq order, with lengths non-increasing, so
 full-length summands form a contiguous prefix and shorter ones a
 contiguous suffix.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .betti import BettiDiagram
 from .pure import NotDecomposable, pure_diagram, top_degree_sequence
@@ -42,29 +43,56 @@ def bs_decompose(B: BettiDiagram) -> Decomposition:
     Diagrams outside the cone surface as NotDecomposable, either through
     a malformed top sequence or through a negative entry after
     subtraction.
+
+    The remainder is kept as integer numerators over one common
+    denominator: a step finds alpha by cross-multiplying and subtracts
+    after scaling by the minimizing pure entry, so only the coefficients
+    are built as Fractions.
     """
-    remainder = {key: Fraction(v) for key, v in B.items()}
-    if not remainder:
+    exact = [(key, Fraction(v)) for key, v in B.items()]
+    if not exact:
         raise NotDecomposable("cannot decompose an empty diagram")
+    den = lcm(*(v.denominator for _, v in exact))
+    num = {key: v.numerator * (den // v.denominator) for key, v in exact}
     summands: list[tuple[Fraction, tuple[int, ...]]] = []
     # Entries stay positive, so alpha > 0; the minimizing entry drops to
     # exactly zero and is deleted, so every step shrinks the remainder and
     # the loop ends with it empty.
-    while remainder:
-        seq = top_degree_sequence(remainder)
-        pi = pure_diagram(seq)
-        alpha = min(remainder[key] / e for key, e in pi.items())
-        for (i, d), e in pi.items():
-            v = remainder[(i, d)] - alpha * e
+    while num:
+        seq = top_degree_sequence(num)
+        pi = pure_diagram(seq).items()
+        # alpha = a / (den * e): the least num[key] / pure entry, compared
+        # by cross-multiplying (pure entries are positive).
+        (key, e), rest = pi[0], pi[1:]
+        a = num[key]
+        for key, pe in rest:
+            v = num[key]
+            if v * e < a * pe:
+                a, e = v, pe
+        g = gcd(a, e)
+        a //= g
+        e //= g
+        summands.append((Fraction(a, den * e), seq))
+        # remainder - alpha * pi, over the denominator den * e.
+        if e != 1:
+            den *= e
+            for key in num:
+                num[key] *= e
+        for (i, d), pe in pi:
+            v = num[(i, d)] - a * pe
             if v < 0:
                 raise NotDecomposable(
                     f"entry ({i}, {d}) driven negative by pi{seq}"
                 )
             if v == 0:
-                del remainder[(i, d)]
+                del num[(i, d)]
             else:
-                remainder[(i, d)] = v
-        summands.append((alpha, seq))
+                num[(i, d)] = v
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            for key in num:
+                num[key] //= g
     return Decomposition(tuple(summands))
 
 

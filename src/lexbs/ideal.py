@@ -19,7 +19,7 @@ from typing import NamedTuple, Union
 
 from .monomial import (
     Monomial,
-    div_var,
+    check_variable_index,
     format_monomial,
     glex_key,
     glex_rank,
@@ -287,30 +287,46 @@ def is_artinian(I: Ideal) -> bool:
 def colon_variable(I: MonomialIdeal, i: int):
     """The colon ideal (I : x_i).
 
-    For monomial ideals this is generated by u/x_i for the generators
-    divisible by x_i, together with the rest unchanged.  Returns
-    UnitIdeal when x_i itself is a generator.
+    It is generated by u/x_i for the generators u divisible by x_i,
+    together with the others.  Built from the minimal generators of I,
+    no quotient divides another and no x_i-free generator divides a
+    quotient, so the only ones to drop are the x_i-free generators that
+    some quotient divides.  Returns UnitIdeal when x_i itself is a
+    generator.
     """
-    quotients = []
+    n = I.n
+    check_variable_index(i, n)
+    k = i - 1
+    quotients: list[Monomial] = []
+    free: list[Monomial] = []
     for g in I.gens:
-        if g.exponents[i - 1] > 0:
-            quotients.append(div_var(g, i))
+        e = g.exponents
+        if e[k]:
+            if g.degree == 1:
+                return UnitIdeal(n)
+            quotients.append(Monomial(e[:k] + (e[k] - 1,) + e[k + 1 :]))
         else:
-            quotients.append(g)
-    return minimalize(quotients, I.n)
+            free.append(g)
+    kept = [g for g in free if not _divisible(g.exponents, quotients)]
+    return MonomialIdeal(n, quotients + kept)
 
 
 def add_variable(I: MonomialIdeal, i: int):
-    """The sum I + (x_i)."""
-    return minimalize(list(I.gens) + [variable(i, I.n)], I.n)
+    """The sum I + (x_i): x_i and the x_i-free minimal generators of I."""
+    n = I.n
+    check_variable_index(i, n)
+    gens = [g for g in I.gens if not g.exponents[i - 1]]
+    gens.append(variable(i, n))
+    return MonomialIdeal(n, gens)
 
 
 def split_x(L: MonomialIdeal) -> Split:
     """Split a lex-segment ideal as L = x_1 * (L : x_1) + J.
 
     J collects the x_1-free generators, living in the last n-1
-    variables.  The minimal generators of L are x_1 * G(L : x_1)
-    together with G(J); check_split_identities verifies this.
+    variables; they stay minimal there.  The minimal generators of L are
+    x_1 * G(L : x_1) together with G(J); check_split_identities
+    verifies this.
     """
     if L.n < 2:
         raise ValueError("splitting needs at least two variables")
@@ -321,7 +337,7 @@ def split_x(L: MonomialIdeal) -> Split:
         Monomial(g.exponents[1:]) for g in L.gens if g.exponents[0] == 0
     ]
     if projected:
-        xfree = minimalize(projected, L.n - 1)
+        xfree = MonomialIdeal(L.n - 1, projected)
     else:
         xfree = ZeroIdeal(L.n - 1)
     return Split(colon, xfree)

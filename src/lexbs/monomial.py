@@ -53,10 +53,15 @@ def one(n: int) -> Monomial:
     return Monomial((0,) * n)
 
 
-def variable(i: int, n: int) -> Monomial:
-    """The variable x_i as a monomial in n variables (i is 1-based)."""
+def check_variable_index(i: int, n: int) -> None:
+    """Raise ValueError unless x_i is one of n variables (1 <= i <= n)."""
     if not 1 <= i <= n:
         raise ValueError(f"variable index {i} out of range 1..{n}")
+
+
+def variable(i: int, n: int) -> Monomial:
+    """The variable x_i as a monomial in n variables (i is 1-based)."""
+    check_variable_index(i, n)
     return Monomial(tuple(1 if k == i - 1 else 0 for k in range(n)))
 
 
@@ -105,8 +110,7 @@ def divides(a: Monomial, b: Monomial) -> bool:
 
 def mul_var(u: Monomial, i: int) -> Monomial:
     """u * x_i (i is 1-based)."""
-    if not 1 <= i <= u.nvars:
-        raise ValueError(f"variable index {i} out of range 1..{u.nvars}")
+    check_variable_index(i, u.nvars)
     e = list(u.exponents)
     e[i - 1] += 1
     return Monomial(e)
@@ -114,8 +118,7 @@ def mul_var(u: Monomial, i: int) -> Monomial:
 
 def div_var(u: Monomial, i: int) -> Monomial:
     """u / x_i; requires x_i | u."""
-    if not 1 <= i <= u.nvars:
-        raise ValueError(f"variable index {i} out of range 1..{u.nvars}")
+    check_variable_index(i, u.nvars)
     if u.exponents[i - 1] == 0:
         raise ValueError(f"x_{i} does not divide {u!r}")
     e = list(u.exponents)

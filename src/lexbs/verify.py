@@ -78,12 +78,6 @@ class CheckReport:
         return self.verdict == "fail"
 
 
-@lru_cache(maxsize=8192)
-def chain_of(I: MonomialIdeal) -> Decomposition:
-    """Greedy chain of the ideal's Betti diagram (cached)."""
-    return bs_decompose(ek_betti(I))
-
-
 class IdealFacts:
     """What the checks derive from one ideal L, each item computed on
     first use and then kept.
@@ -152,6 +146,20 @@ def facts_of(L: MonomialIdeal) -> IdealFacts:
     if _last_facts is None or _last_facts.ideal is not L:
         _last_facts = IdealFacts(L)
     return _last_facts
+
+
+@lru_cache(maxsize=8192)
+def chain_of(I: MonomialIdeal) -> Decomposition:
+    """Greedy chain of the ideal's Betti diagram (cached).
+
+    The diagram comes from the current facts when I is their ideal, so
+    its stability is decided once, and from new facts of I otherwise;
+    non-stable input raises ek_betti's ValueError either way.
+    """
+    f = _last_facts
+    if f is None or f.ideal is not I:
+        f = IdealFacts(I)
+    return bs_decompose(f.diagram)
 
 
 def _shift_seq(seq: tuple[int, ...], by: int = 1) -> tuple[int, ...]:

@@ -194,3 +194,64 @@ QUADRIC_QUOTIENT_UNIT = (
     (F(8), (0, 2, 3, 4)),
     (F(4), (0, 2, 3)),
 )
+
+# `lexbs enumerate --max-deg D --machine` for D = 1..6, one tuple of
+# stdout lines per D: the ideal count, then per law the pass, fail,
+# vacuous and excluded counts.  This output is a contract: a faster
+# campaign must print the same bytes.
+CAMPAIGN_MACHINE_ROWS = {
+    1: (
+        "ideals\t1",
+        "thm1\t0\t0\t1\t0",
+        "thm2\t0\t0\t1\t0",
+        "conjecture\t0\t0\t0\t1",
+        "ek_vs_cone\t0\t0\t1\t0",
+        "bhp\t1\t0\t0\t0",
+        "lemmas\t1\t0\t0\t0",
+    ),
+    2: (
+        "ideals\t4",
+        "thm1\t1\t0\t3\t0",
+        "thm2\t1\t0\t3\t0",
+        "conjecture\t0\t0\t0\t4",
+        "ek_vs_cone\t1\t0\t3\t0",
+        "bhp\t4\t0\t0\t0",
+        "lemmas\t4\t0\t0\t0",
+    ),
+    3: (
+        "ideals\t14",
+        "thm1\t7\t0\t7\t0",
+        "thm2\t7\t0\t7\t0",
+        "conjecture\t0\t0\t0\t14",
+        "ek_vs_cone\t7\t0\t7\t0",
+        "bhp\t14\t0\t0\t0",
+        "lemmas\t14\t0\t0\t0",
+    ),
+    4: (
+        "ideals\t51",
+        "thm1\t36\t0\t15\t0",
+        "thm2\t36\t0\t15\t0",
+        "conjecture\t0\t0\t0\t51",
+        "ek_vs_cone\t36\t0\t15\t0",
+        "bhp\t51\t0\t0\t0",
+        "lemmas\t51\t0\t0\t0",
+    ),
+    5: (
+        "ideals\t202",
+        "thm1\t171\t0\t31\t0",
+        "thm2\t167\t0\t31\t4",
+        "conjecture\t4\t0\t0\t198",
+        "ek_vs_cone\t171\t0\t31\t0",
+        "bhp\t202\t0\t0\t0",
+        "lemmas\t202\t0\t0\t0",
+    ),
+    6: (
+        "ideals\t876",
+        "thm1\t813\t0\t63\t0",
+        "thm2\t789\t0\t63\t24",
+        "conjecture\t24\t0\t0\t852",
+        "ek_vs_cone\t813\t0\t63\t0",
+        "bhp\t876\t0\t0\t0",
+        "lemmas\t876\t0\t0\t0",
+    ),
+}

@@ -14,7 +14,7 @@ import lexbs.cli as cli
 import lexbs.verify as verify
 from lexbs.cli import IdealSyntaxError, main, parse_ideal, render_betti
 
-from conftest import SPLICE8_TEXT, STAGGER_TEXT, m
+from conftest import CAMPAIGN_MACHINE_ROWS, SPLICE8_TEXT, STAGGER_TEXT, m
 
 
 def run(capsys, *argv):
@@ -239,19 +239,12 @@ def test_explain_command(capsys):
 
 
 def test_enumerate_machine(capsys):
-    code, out, err = run(
-        capsys, "enumerate", "--max-deg", "2", "--machine"
-    )
-    assert code == 0
-    assert out.splitlines() == [
-        "ideals\t4",
-        "thm1\t1\t0\t3\t0",
-        "thm2\t1\t0\t3\t0",
-        "conjecture\t0\t0\t0\t4",
-        "ek_vs_cone\t1\t0\t3\t0",
-        "bhp\t4\t0\t0\t0",
-        "lemmas\t4\t0\t0\t0",
-    ]
+    for max_deg, rows in CAMPAIGN_MACHINE_ROWS.items():
+        code, out, err = run(
+            capsys, "enumerate", "--max-deg", str(max_deg), "--machine"
+        )
+        assert (code, err) == (0, "")
+        assert out == "".join(line + "\n" for line in rows)
 
 
 def test_enumerate_parallel_output_identical(capsys):

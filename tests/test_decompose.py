@@ -23,7 +23,12 @@ from lexbs.decompose import (
 from lexbs.enumeration import enumerate_artinian_lex
 from lexbs.ideal import minimalize
 from lexbs.monomial import Monomial
-from lexbs.pure import NotDecomposable, pure_diagram, seq_leq
+from lexbs.pure import (
+    NotDecomposable,
+    pure_diagram,
+    seq_leq,
+    top_degree_sequence,
+)
 from lexbs.cli import parse_ideal
 
 from conftest import (
@@ -156,3 +161,76 @@ def test_greedy_chain_property(I):
     assert full + short == chain.summands
     Q = quotient_diagram(B)
     _assert_exact_chain(Q, bs_decompose(Q), I.n)
+
+
+def _fraction_peel(B):
+    """Reference greedy peel on an exact Fraction remainder: the oracle
+    for the integer peel of bs_decompose."""
+    remainder = {key: Fraction(v) for key, v in B.items()}
+    if not remainder:
+        raise NotDecomposable("cannot decompose an empty diagram")
+    summands = []
+    while remainder:
+        seq = top_degree_sequence(remainder)
+        pi = pure_diagram(seq)
+        alpha = min(remainder[key] / e for key, e in pi.items())
+        for (i, d), e in pi.items():
+            v = remainder[(i, d)] - alpha * e
+            if v < 0:
+                raise NotDecomposable(
+                    f"entry ({i}, {d}) driven negative by pi{seq}"
+                )
+            if v == 0:
+                del remainder[(i, d)]
+            else:
+                remainder[(i, d)] = v
+        summands.append((alpha, seq))
+    return Decomposition(tuple(summands))
+
+
+def _outcome(peel, B):
+    """The repr of the chain, or the NotDecomposable message."""
+    try:
+        return repr(peel(B))
+    except NotDecomposable as exc:
+        return f"NotDecomposable: {exc}"
+
+
+def _assert_peels_agree(B):
+    assert _outcome(bs_decompose, B) == _outcome(_fraction_peel, B)
+
+
+def test_integer_peel_matches_fraction_peel_on_campaign_diagrams():
+    for I in enumerate_artinian_lex(5):
+        B = ek_betti(I)
+        _assert_peels_agree(B)
+        _assert_peels_agree(quotient_diagram(B))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _stable_ideals(),
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000),
+)
+def test_integer_peel_matches_fraction_peel_property(I, scale):
+    B = ek_betti(I)
+    for D in (B, quotient_diagram(B)):
+        _assert_peels_agree(D)
+        for factor in (scale, float(scale)):
+            _assert_peels_agree(
+                BettiDiagram(I.n, {k: factor * v for k, v in D.items()})
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 6)),
+        st.fractions(min_value=Fraction(1, 50), max_value=50),
+        max_size=8,
+    )
+)
+def test_integer_peel_matches_fraction_peel_off_the_cone(entries):
+    # Random entries: mostly outside the cone, where both peels must
+    # raise the same NotDecomposable message.
+    _assert_peels_agree(BettiDiagram(4, entries))

@@ -27,7 +27,15 @@ from lexbs.ideal import (
     split_x,
     stable_violation,
 )
-from lexbs.monomial import Monomial, divides, glex_compare, monomials_of_degree, one
+from lexbs.monomial import (
+    Monomial,
+    div_var,
+    divides,
+    glex_compare,
+    monomials_of_degree,
+    one,
+    variable,
+)
 from lexbs.cli import parse_ideal
 
 from conftest import FAMILY26_TEXT, SPLICE8_TEXT, borel_closure, m, splice8, stagger
@@ -203,6 +211,15 @@ def test_add_variable():
     assert add_variable(J, 1) == J
 
 
+def test_colon_and_add_variable_reject_bad_indices():
+    I = parse_ideal("x^2, xy")
+    for op in (colon_variable, add_variable):
+        for i in (0, 4, -1):
+            message = f"variable index {i} out of range 1..3"
+            with pytest.raises(ValueError, match=message):
+                op(I, i)
+
+
 def test_split_reconstructs():
     for text in (SPLICE8_TEXT, FAMILY26_TEXT):
         L = parse_ideal(text)
@@ -299,9 +316,10 @@ def _hilbert_by_count(I, d):
 
 
 @st.composite
-def _ideals(draw, max_deg=6):
-    """A random nonzero proper ideal in 2-4 variables, stable or not."""
-    n = draw(st.integers(2, 4))
+def _ideals(draw, max_deg=6, min_vars=2):
+    """A random nonzero proper ideal in min_vars..4 variables, stable or
+    not."""
+    n = draw(st.integers(min_vars, 4))
     exps = st.tuples(*[st.integers(0, 4)] * n).filter(
         lambda e: 0 < sum(e) <= max_deg
     )
@@ -358,6 +376,39 @@ def test_lexify_property(I):
     assert is_lex_segment(lexed) and _is_lex_by_scan(lexed)
     for d in range(0, max(max_gen_degree(I), max_gen_degree(lexed)) + 3):
         assert hilbert_value(lexed, d) == _hilbert_by_count(I, d)
+
+
+def _colon_by_textbook(I, i):
+    # (I : x_i) is generated by u/x_i for x_i | u and by u otherwise.
+    return minimalize(
+        [div_var(g, i) if g.exponents[i - 1] else g for g in I.gens], I.n
+    )
+
+
+def _sum_by_textbook(I, i):
+    return minimalize(list(I.gens) + [variable(i, I.n)], I.n)
+
+
+@_PROPERTY
+@given(_ideals(min_vars=1))
+def test_colon_and_add_variable_match_minimalize_property(I):
+    for i in range(1, I.n + 1):
+        assert colon_variable(I, i) == _colon_by_textbook(I, i)
+        assert add_variable(I, i) == _sum_by_textbook(I, i)
+
+
+# Every lex ideal is Borel-closed, so lexifying Borel closures reaches
+# them all, through lexify's fast count for stable input.
+@_PROPERTY
+@given(_ideals(max_deg=3))
+def test_split_xfree_matches_minimalize_property(I):
+    closed = borel_closure([g.exponents for g in I.gens])
+    L = lexify(minimalize([Monomial(e) for e in closed], I.n))
+    projected = [Monomial(g.exponents[1:]) for g in L.gens if not g.exponents[0]]
+    expected = minimalize(projected, L.n - 1) if projected else ZeroIdeal(L.n - 1)
+    colon, xfree = split_x(L)
+    assert xfree == expected
+    assert colon == _colon_by_textbook(L, 1)
 
 
 def test_lexify_reaches_degree_601():
