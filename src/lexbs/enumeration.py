@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, Optional
 
-from .ideal import MonomialIdeal, segment_shadow_size
+from .ideal import MonomialIdeal, _ideal, segment_shadow_size
 from .monomial import monomials_of_degree
 from .verify import CHECKS, CheckReport
 
@@ -44,7 +44,8 @@ def enumerate_artinian_lex(max_deg: int) -> Iterator[MonomialIdeal]:
             new_gens = master[lower:t]
             gens.extend(new_gens)
             if d == max_deg:
-                yield MonomialIdeal(3, tuple(gens))
+                # Minimal by construction: no slice meets the shadow below it.
+                yield _ideal(3, gens)
             else:
                 yield from rec(d + 1, t, gens)
             del gens[len(gens) - len(new_gens) :]

@@ -19,6 +19,7 @@ from typing import NamedTuple, Union
 
 from .monomial import (
     Monomial,
+    _monomial,
     check_variable_index,
     format_monomial,
     glex_key,
@@ -26,7 +27,6 @@ from .monomial import (
     glex_unrank,
     max_index,
     monomials_of_degree,
-    variable,
 )
 
 
@@ -87,6 +87,18 @@ class MonomialIdeal:
 
     def __repr__(self):
         return f"MonomialIdeal({self.n}, {format_ideal(self)})"
+
+
+def _ideal(n: int, gens) -> MonomialIdeal:
+    """The MonomialIdeal of generators known to be minimal, distinct,
+    nonconstant and in n variables: sorted glex-descending, without the
+    constructor's checks.  It equals and hashes like the checked one."""
+    I = object.__new__(MonomialIdeal)
+    ordered = tuple(sorted(gens, key=glex_key, reverse=True))
+    I.n = n
+    I.gens = ordered
+    I._hash = hash((n, ordered))
+    return I
 
 
 Ideal = Union[MonomialIdeal, UnitIdeal, ZeroIdeal]
@@ -304,11 +316,13 @@ def colon_variable(I: MonomialIdeal, i: int):
         if e[k]:
             if g.degree == 1:
                 return UnitIdeal(n)
-            quotients.append(Monomial(e[:k] + (e[k] - 1,) + e[k + 1 :]))
+            quotients.append(
+                _monomial(e[:k] + (e[k] - 1,) + e[k + 1 :], g.degree - 1)
+            )
         else:
             free.append(g)
     kept = [g for g in free if not _divisible(g.exponents, quotients)]
-    return MonomialIdeal(n, quotients + kept)
+    return _ideal(n, quotients + kept)
 
 
 def add_variable(I: MonomialIdeal, i: int):
@@ -316,8 +330,8 @@ def add_variable(I: MonomialIdeal, i: int):
     n = I.n
     check_variable_index(i, n)
     gens = [g for g in I.gens if not g.exponents[i - 1]]
-    gens.append(variable(i, n))
-    return MonomialIdeal(n, gens)
+    gens.append(_monomial((0,) * (i - 1) + (1,) + (0,) * (n - i), 1))
+    return _ideal(n, gens)
 
 
 def split_x(L: MonomialIdeal) -> Split:
@@ -332,12 +346,18 @@ def split_x(L: MonomialIdeal) -> Split:
         raise ValueError("splitting needs at least two variables")
     if not is_lex_segment(L):
         raise ValueError("split_x requires a lex-segment ideal")
+    return _split_x(L)
+
+
+def _split_x(L: MonomialIdeal) -> Split:
+    """The split of split_x, for a caller that knows L is lex in two or
+    more variables."""
     colon = colon_variable(L, 1)
     projected = [
-        Monomial(g.exponents[1:]) for g in L.gens if g.exponents[0] == 0
+        _monomial(g.exponents[1:], g.degree) for g in L.gens if not g.exponents[0]
     ]
     if projected:
-        xfree = MonomialIdeal(L.n - 1, projected)
+        xfree = _ideal(L.n - 1, projected)
     else:
         xfree = ZeroIdeal(L.n - 1)
     return Split(colon, xfree)

@@ -48,6 +48,16 @@ class Monomial:
         return f"Monomial({self.exponents!r})"
 
 
+def _monomial(exponents: tuple[int, ...], degree: int) -> Monomial:
+    """The Monomial of an exponent tuple of nonnegative ints summing to
+    degree, without the constructor's checks: for tuples derived from
+    monomials that were already built."""
+    u = object.__new__(Monomial)
+    u.exponents = exponents
+    u.degree = degree
+    return u
+
+
 def one(n: int) -> Monomial:
     """The unit monomial 1 in n variables."""
     return Monomial((0,) * n)

@@ -21,11 +21,18 @@ The checks:
 - check_split_identities: structural facts about the splitting
   L = x_1*(L : x_1) + J used throughout.
 
-The checks read what they derive from L (the lex, Artinian and stable
-tests, the split, the colons, (L, x_1), the Betti diagrams of L and J)
-from one IdealFacts, which computes each item at most once.  Only the
-facts of the last ideal handed to a check are kept, so the checks of a
-campaign share them while memory holds one ideal's worth.
+The checks read what they derive from L (the split, the colons,
+(L, x_1), the family test, the Betti diagrams of L and J) from one
+IdealFacts, which computes each item at most once.  Only the facts of
+the last ideal handed to a check are kept, so the checks of a campaign
+share them while memory holds one ideal's worth.
+
+Every ideal comes back in a campaign, as a campaign ideal and as the
+colon or (L, x_1) of others, so its lex and stability answers are kept
+longer: verdicts_of holds them for each distinct ideal, found by value,
+in a bounded cache like chain_of's.  Diagrams stay out of it; the
+diagram of a colon or (L, x_1) is rebuilt from the kept stability
+answer when needed.
 """
 
 from __future__ import annotations
@@ -35,13 +42,14 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional, Union
 
-from .betti import _ek_diagram, ek_betti, mapping_cone_betti
+from .betti import BettiDiagram, _ek_diagram, ek_betti, mapping_cone_betti
 from .decompose import Decomposition, bs_decompose, split_by_length
 from .ideal import (
     MonomialIdeal,
     UnitIdeal,
     ZeroIdeal,
     _lex_walk,
+    _split_x,
     add_variable,
     colon_variable,
     contains,
@@ -52,9 +60,8 @@ from .ideal import (
     max_gen_degree,
     min_gen_degree,
     minimalize,
-    split_x,
 )
-from .monomial import Monomial, mul_var, variable
+from .monomial import Monomial, variable
 from .pure import pure_diagram
 
 
@@ -78,36 +85,81 @@ class CheckReport:
         return self.verdict == "fail"
 
 
+class _Verdicts:
+    """The lex and stability answers of one ideal, each decided on first
+    read and then kept."""
+
+    __slots__ = ("ideal", "_lex", "_stable")
+
+    def __init__(self, ideal: MonomialIdeal):
+        self.ideal = ideal
+        self._lex: Optional[bool] = None
+        self._stable: Optional[bool] = None
+
+    @property
+    def lex(self) -> bool:
+        if self._lex is None:
+            self._lex = is_lex_segment(self.ideal)
+        return self._lex
+
+    @property
+    def stable(self) -> bool:
+        if self._stable is None:
+            self._stable = is_stable(self.ideal)
+        return self._stable
+
+
+@lru_cache(maxsize=8192)
+def verdicts_of(I: MonomialIdeal) -> _Verdicts:
+    """The lex and stability answers of I, shared by every ideal equal
+    to I (cached)."""
+    return _Verdicts(I)
+
+
+def _diagram(I: MonomialIdeal) -> BettiDiagram:
+    """Betti diagram of I, counted on the kept stability answer;
+    non-stable input raises ek_betti's ValueError, naming the violation."""
+    if verdicts_of(I).stable:
+        return _ek_diagram(I)
+    return ek_betti(I)
+
+
+_X = variable(1, 3)
+_Y = variable(2, 3)
+
+
 class IdealFacts:
     """What the checks derive from one ideal L, each item computed on
-    first use and then kept.
+    first use and then kept; the lex and stability answers are read
+    from verdicts_of.
 
     The items call the module-level functions at that moment, so a
     function rebound here (a tracer, a fault injected by a test) is the
-    one used.  The items that need L lex (the split, the colon by x_1)
-    are read only after the lex test.
+    one used.
     """
 
     def __init__(self, ideal: MonomialIdeal):
         self.ideal = ideal
         self._colons: dict[int, object] = {}
 
-    @cached_property
+    @property
     def lex(self) -> bool:
-        return is_lex_segment(self.ideal)
+        return verdicts_of(self.ideal).lex
 
     @cached_property
     def artinian(self) -> bool:
         return is_artinian(self.ideal)
 
-    @cached_property
+    @property
     def stable(self) -> bool:
-        return is_stable(self.ideal)
+        return verdicts_of(self.ideal).stable
 
     @cached_property
     def split(self):
         """L = x_1 * (L : x_1) + J, for lex L in two or more variables."""
-        return split_x(self.ideal)
+        if not self.lex:
+            raise ValueError("split_x requires a lex-segment ideal")
+        return _split_x(self.ideal)
 
     def colon(self, i: int):
         """(L : x_i); the colon by x_1 is the split's when there is one."""
@@ -124,16 +176,44 @@ class IdealFacts:
 
     @cached_property
     def diagram(self):
-        """Betti diagram of L; the stability answer held here stands in
-        for ek_betti's own test."""
-        if self.stable:
-            return _ek_diagram(self.ideal)
-        return ek_betti(self.ideal)  # raises, naming the violation
+        """Betti diagram of L."""
+        return _diagram(self.ideal)
 
     @cached_property
     def xfree_diagram(self):
         """Betti diagram of J, the x_1-free part of the split."""
-        return ek_betti(self.split.xfree)
+        return _diagram(self.split.xfree)
+
+    @cached_property
+    def family(self):
+        """What classify_excluded_family returns for L."""
+        L = self.ideal
+        if L.n != 3:
+            return "not a 3-variable ideal"
+        if contains(L, _X):
+            return "x is a generator, so the colon by x is the unit ideal"
+        colon, xfree = self.split
+        if isinstance(colon, UnitIdeal) or isinstance(xfree, ZeroIdeal):
+            return "splitting is degenerate"
+        shape = sorted(colon.gens, key=lambda g: g.exponents, reverse=True)
+        is_z_power = (
+            len(shape) == 3
+            and shape[0] == _X
+            and shape[1] == _Y
+            and shape[2].exponents[2] == shape[2].degree
+        )
+        if not is_z_power:
+            return (
+                f"colon by x is {format_ideal(colon)}, "
+                "not of the form (x, y, z^t)"
+            )
+        t = shape[2].degree
+        k = min_gen_degree(xfree)
+        if len(xfree.gens) == k + 1 and all(g.degree == k for g in xfree.gens):
+            return f"J is the full power (y, z)^{k}"
+        if not 1 < t < k - 1:
+            return f"t = {t} is outside 1 < t < k-1 = {k - 1}"
+        return (t, k)
 
 
 _last_facts: Optional[IdealFacts] = None
@@ -152,14 +232,14 @@ def facts_of(L: MonomialIdeal) -> IdealFacts:
 def chain_of(I: MonomialIdeal) -> Decomposition:
     """Greedy chain of the ideal's Betti diagram (cached).
 
-    The diagram comes from the current facts when I is their ideal, so
-    its stability is decided once, and from new facts of I otherwise;
-    non-stable input raises ek_betti's ValueError either way.
+    The diagram comes from the current facts when I is their ideal and
+    is counted on I's kept stability answer otherwise; non-stable input
+    raises ek_betti's ValueError either way.
     """
     f = _last_facts
-    if f is None or f.ideal is not I:
-        f = IdealFacts(I)
-    return bs_decompose(f.diagram)
+    if f is not None and f.ideal is I:
+        return bs_decompose(f.diagram)
+    return bs_decompose(_diagram(I))
 
 
 def _shift_seq(seq: tuple[int, ...], by: int = 1) -> tuple[int, ...]:
@@ -268,33 +348,7 @@ def classify_excluded_family(L: MonomialIdeal):
     L belongs to the family with 1 < t < k-1, and otherwise a human
     readable reason why not.  Assumes L is an Artinian lex ideal.
     """
-    if L.n != 3:
-        return "not a 3-variable ideal"
-    if contains(L, variable(1, 3)):
-        return "x is a generator, so the colon by x is the unit ideal"
-    colon, xfree = facts_of(L).split
-    if isinstance(colon, UnitIdeal) or isinstance(xfree, ZeroIdeal):
-        return "splitting is degenerate"
-    shape = sorted(colon.gens, key=lambda g: g.exponents, reverse=True)
-    x1, x2 = variable(1, 3), variable(2, 3)
-    is_z_power = (
-        len(shape) == 3
-        and shape[0] == x1
-        and shape[1] == x2
-        and shape[2].exponents[2] == shape[2].degree
-    )
-    if not is_z_power:
-        return (
-            f"colon by x is {format_ideal(colon)}, "
-            "not of the form (x, y, z^t)"
-        )
-    t = shape[2].degree
-    k = min_gen_degree(xfree)
-    if len(xfree.gens) == k + 1 and all(g.degree == k for g in xfree.gens):
-        return f"J is the full power (y, z)^{k}"
-    if not 1 < t < k - 1:
-        return f"t = {t} is outside 1 < t < k-1 = {k - 1}"
-    return (t, k)
+    return facts_of(L).family
 
 
 def check_tail_agreement(L: MonomialIdeal) -> CheckReport:
@@ -496,7 +550,7 @@ def check_cone_assembly(L: MonomialIdeal) -> CheckReport:
         return CheckReport(L, "vacuous(colon by x_1 is the unit ideal)")
     if isinstance(xfree, ZeroIdeal):
         return CheckReport(L, "vacuous(no x_1-free generators)")
-    cone = mapping_cone_betti(ek_betti(colon), f.xfree_diagram)
+    cone = mapping_cone_betti(_diagram(colon), f.xfree_diagram)
     direct = f.diagram
     details = {"cone": cone, "direct": direct}
     # Both diagrams have L.n, so they differ exactly where an entry does.
@@ -556,23 +610,25 @@ def check_split_identities(L: MonomialIdeal) -> CheckReport:
     n = L.n
     for i in range(1, n + 1):
         c = f.colon(i)
-        if not (isinstance(c, UnitIdeal) or is_lex_segment(c)):
+        if not (isinstance(c, UnitIdeal) or verdicts_of(c).lex):
             failures.append(
                 f"(L : x_{i}) = {format_ideal(c)} is not a lex segment"
             )
     if not f.stable:
         failures.append("lex-segment ideal is not stable")
     colon, xfree = f.split
+    # Exponent tuples of x_1 * G(L : x_1), then of G(J); a failure
+    # witness lists their monomials as a set built in this order.
     if isinstance(colon, UnitIdeal):
-        rebuilt = {variable(1, n)}
+        rebuilt = [(1,) + (0,) * (n - 1)]
     else:
-        rebuilt = {mul_var(g, 1) for g in colon.gens}
+        rebuilt = [(g.exponents[0] + 1,) + g.exponents[1:] for g in colon.gens]
     if isinstance(xfree, MonomialIdeal):
-        rebuilt.update(Monomial((0,) + g.exponents) for g in xfree.gens)
-    if rebuilt != set(L.gens):
+        rebuilt += [(0,) + g.exponents for g in xfree.gens]
+    if set(rebuilt) != {g.exponents for g in L.gens}:
         failures.append(
-            f"splitting failed to reconstruct generators: {rebuilt} vs "
-            f"{set(L.gens)}"
+            "splitting failed to reconstruct generators: "
+            f"{set(map(Monomial, rebuilt))} vs {set(L.gens)}"
         )
     if (
         min_gen_degree(L) >= 2
@@ -584,7 +640,7 @@ def check_split_identities(L: MonomialIdeal) -> CheckReport:
             f"by one in the colon ({min_gen_degree(colon)})"
         )
     if isinstance(xfree, MonomialIdeal):
-        if not is_lex_segment(xfree):
+        if not verdicts_of(xfree).lex:
             failures.append(
                 f"J = {format_ideal(xfree)} is not a lex segment over "
                 "the smaller ring"

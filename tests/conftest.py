@@ -15,8 +15,21 @@ binomial formula and the greedy algorithm and are frozen here.
 
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import strategies as st
+
+from lexbs import verify
 from lexbs.cli import parse_ideal
+from lexbs.ideal import minimalize
 from lexbs.monomial import Monomial
+
+
+@pytest.fixture(autouse=True)
+def _empty_verify_caches():
+    """Start every test with empty verify caches, so no answer computed
+    under a fault that another test injected can reach it."""
+    verify.chain_of.cache_clear()
+    verify.verdicts_of.cache_clear()
 
 
 def m(*exps):
@@ -42,6 +55,23 @@ def borel_closure(monos):
                         seen.add(f)
                         todo.append(f)
     return seen
+
+
+@st.composite
+def ideals(draw, max_deg=6, min_vars=2):
+    """A random nonzero proper ideal in min_vars..4 variables, stable or
+    not: one to five generators of degree 1..max_deg, Borel-closed half
+    the time."""
+    n = draw(st.integers(min_vars, 4))
+    # The degree first, then the variable of each of its factors, so no
+    # draw is thrown away.
+    exps = st.integers(1, max_deg).flatmap(
+        lambda d: st.lists(st.integers(0, n - 1), min_size=d, max_size=d)
+    ).map(lambda factors: tuple(factors.count(i) for i in range(n)))
+    monos = draw(st.lists(exps, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        monos = borel_closure(monos)
+    return minimalize([Monomial(e) for e in monos], n)
 
 
 SPLICE8_TEXT = (

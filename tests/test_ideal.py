@@ -38,7 +38,15 @@ from lexbs.monomial import (
 )
 from lexbs.cli import parse_ideal
 
-from conftest import FAMILY26_TEXT, SPLICE8_TEXT, borel_closure, m, splice8, stagger
+from conftest import (
+    FAMILY26_TEXT,
+    SPLICE8_TEXT,
+    borel_closure,
+    ideals,
+    m,
+    splice8,
+    stagger,
+)
 
 
 def _contains_by_divisibility(I, u):
@@ -315,25 +323,11 @@ def _hilbert_by_count(I, d):
     )
 
 
-@st.composite
-def _ideals(draw, max_deg=6, min_vars=2):
-    """A random nonzero proper ideal in min_vars..4 variables, stable or
-    not."""
-    n = draw(st.integers(min_vars, 4))
-    exps = st.tuples(*[st.integers(0, 4)] * n).filter(
-        lambda e: 0 < sum(e) <= max_deg
-    )
-    monos = draw(st.lists(exps, min_size=1, max_size=5))
-    if draw(st.booleans()):
-        monos = borel_closure(monos)
-    return minimalize([Monomial(e) for e in monos], n)
-
-
 _PROPERTY = settings(max_examples=150, deadline=None)
 
 
 @_PROPERTY
-@given(_ideals(), st.data())
+@given(ideals(), st.data())
 def test_contains_matches_divisibility_property(I, data):
     e = data.draw(st.tuples(*[st.integers(0, 7)] * I.n))
     u = Monomial(e)
@@ -341,14 +335,14 @@ def test_contains_matches_divisibility_property(I, data):
 
 
 @_PROPERTY
-@given(_ideals())
+@given(ideals())
 def test_hilbert_value_matches_count_property(I):
     for d in range(0, max_gen_degree(I) + 3):
         assert hilbert_value(I, d) == _hilbert_by_count(I, d)
 
 
 @_PROPERTY
-@given(_ideals())
+@given(ideals())
 def test_is_lex_segment_matches_scan_property(I):
     assert is_lex_segment(I) == _is_lex_by_scan(I)
 
@@ -370,7 +364,7 @@ def test_segment_shadow_size_matches_set_property(n, d, data):
 # four variables, where the brute-force oracle stays cheap; sextics can
 # push it past degree 400.
 @_PROPERTY
-@given(_ideals(max_deg=3))
+@given(ideals(max_deg=3))
 def test_lexify_property(I):
     lexed = lexify(I)
     assert is_lex_segment(lexed) and _is_lex_by_scan(lexed)
@@ -390,25 +384,30 @@ def _sum_by_textbook(I, i):
 
 
 @_PROPERTY
-@given(_ideals(min_vars=1))
+@given(ideals(min_vars=1))
 def test_colon_and_add_variable_match_minimalize_property(I):
     for i in range(1, I.n + 1):
-        assert colon_variable(I, i) == _colon_by_textbook(I, i)
-        assert add_variable(I, i) == _sum_by_textbook(I, i)
+        for built, textbook in (
+            (colon_variable(I, i), _colon_by_textbook(I, i)),
+            (add_variable(I, i), _sum_by_textbook(I, i)),
+        ):
+            assert built == textbook
+            assert hash(built) == hash(textbook)
 
 
 # Every lex ideal is Borel-closed, so lexifying Borel closures reaches
 # them all, through lexify's fast count for stable input.
 @_PROPERTY
-@given(_ideals(max_deg=3))
+@given(ideals(max_deg=3))
 def test_split_xfree_matches_minimalize_property(I):
     closed = borel_closure([g.exponents for g in I.gens])
     L = lexify(minimalize([Monomial(e) for e in closed], I.n))
     projected = [Monomial(g.exponents[1:]) for g in L.gens if not g.exponents[0]]
     expected = minimalize(projected, L.n - 1) if projected else ZeroIdeal(L.n - 1)
     colon, xfree = split_x(L)
-    assert xfree == expected
-    assert colon == _colon_by_textbook(L, 1)
+    assert xfree == expected and hash(xfree) == hash(expected)
+    textbook_colon = _colon_by_textbook(L, 1)
+    assert colon == textbook_colon and hash(colon) == hash(textbook_colon)
 
 
 def test_lexify_reaches_degree_601():

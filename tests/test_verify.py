@@ -2,13 +2,26 @@
 excluded family and its closed-form chain, provenance tags, dominance,
 and the split identities."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lexbs import verify
 from lexbs.betti import ek_betti
 from lexbs.decompose import bs_decompose
-from lexbs.ideal import minimalize
+from lexbs.enumeration import CampaignConfig, enumerate_artinian_lex, run_campaign
+from lexbs.ideal import (
+    MonomialIdeal,
+    add_variable,
+    colon_variable,
+    is_lex_segment,
+    is_stable,
+    lexify,
+    minimalize,
+    split_x,
+)
 from lexbs.monomial import Monomial, monomials_of_degree
 from lexbs.verify import (
     CHECKS,
@@ -33,6 +46,7 @@ from conftest import (
     SPLICE8_CHAIN,
     SPLICE8_TEXT,
     STAGGER_TAIL,
+    ideals,
     m,
     splice8,
     stagger,
@@ -321,14 +335,13 @@ def test_split_identities():
 
 def test_split_identities_catch_a_wrong_split(monkeypatch):
     # A split whose colon gains y rebuilds x*y, which is not a generator.
-    from lexbs import verify
-    from lexbs.ideal import Split, add_variable, split_x
+    from lexbs.ideal import Split
 
     def wrong_split(L):
         colon, xfree = split_x(L)
         return Split(add_variable(colon, 2), xfree)
 
-    monkeypatch.setattr(verify, "split_x", wrong_split)
+    monkeypatch.setattr(verify, "_split_x", wrong_split)
     report = check_split_identities(splice8())
     assert report.verdict == "fail"
     assert report.witness.startswith(
@@ -384,6 +397,61 @@ def test_checks_never_see_another_ideals_facts():
                     assert read_2(B) == alone[name_2, text_b]
                     assert read_1(A) == alone[name_1, text_a]
                     assert read_2(A_again) == alone[name_2, text_a]
+
+
+# ------------------------------------------- lex and stability, kept once
+
+
+def test_lex_and_stability_decided_once_per_distinct_ideal(monkeypatch):
+    calls = {"is_lex_segment": Counter(), "is_stable": Counter()}
+    for name, counter in calls.items():
+
+        def counted(I, decide=getattr(verify, name), counter=counter):
+            counter[I] += 1
+            return decide(I)
+
+        monkeypatch.setattr(verify, name, counted)
+    run_campaign(CampaignConfig(max_deg=5))
+
+    # The ideals a campaign meets: its own, their colons, (L, x_1) and J.
+    met = set()
+    for L in enumerate_artinian_lex(5):
+        met.add(L)
+        met.update(colon_variable(L, i) for i in range(1, 4))
+        met.add(add_variable(L, 1))
+        met.add(split_x(L).xfree)
+    for name, counter in calls.items():
+        assert counter, name
+        assert set(counter) <= met, name
+        assert max(counter.values()) == 1, (name, counter.most_common(1))
+
+
+# Lex input is rare among random ideals; lexified ones supply it.  The
+# degree bound keeps lexify quick on non-stable input.
+_LEX_OR_NOT = st.one_of(
+    ideals(min_vars=1), ideals(max_deg=3, min_vars=1).map(lexify)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LEX_OR_NOT)
+def test_kept_verdicts_and_diagram_match_the_predicates_property(I):
+    twin = MonomialIdeal(I.n, I.gens)  # equal to I, another object
+    expected = (is_lex_segment(I), is_stable(I))
+    for J in (I, twin):
+        kept = verify.verdicts_of(J)
+        assert (kept.lex, kept.stable) == expected
+    for J in (I, twin):
+        facts = verify.IdealFacts(J)
+        assert (facts.lex, facts.stable) == expected
+        try:
+            diagram = ek_betti(I)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                facts.diagram
+            assert str(raised.value) == str(exc)
+        else:
+            assert facts.diagram == diagram
 
 
 # -------------------------------------------------------- four variables
