@@ -459,9 +459,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser main builds on its first call and reuses on every later one:
+# building it costs far more than a light query.  Reuse is safe because
+# parse_args returns a new Namespace each call, `check`'s choices are the
+# live CHECKS dict, and the handlers read module globals when they run.
+# Only the handler functions are bound at build time, so a `_cmd_*`
+# rebound after the first call would not be reached.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except IdealSyntaxError as exc:

@@ -52,7 +52,6 @@ from .ideal import (
     _split_x,
     add_variable,
     colon_variable,
-    contains,
     format_ideal,
     is_artinian,
     is_lex_segment,
@@ -130,8 +129,8 @@ _Y = variable(2, 3)
 
 class IdealFacts:
     """What the checks derive from one ideal L, each item computed on
-    first use and then kept; the lex and stability answers are read
-    from verdicts_of.
+    first use and then kept; the lex and stability answers come from
+    L's verdicts_of record, looked up once.
 
     The items call the module-level functions at that moment, so a
     function rebound here (a tracer, a fault injected by a test) is the
@@ -142,9 +141,13 @@ class IdealFacts:
         self.ideal = ideal
         self._colons: dict[int, object] = {}
 
+    @cached_property
+    def verdicts(self) -> _Verdicts:
+        return verdicts_of(self.ideal)
+
     @property
     def lex(self) -> bool:
-        return verdicts_of(self.ideal).lex
+        return self.verdicts.lex
 
     @cached_property
     def artinian(self) -> bool:
@@ -152,7 +155,7 @@ class IdealFacts:
 
     @property
     def stable(self) -> bool:
-        return verdicts_of(self.ideal).stable
+        return self.verdicts.stable
 
     @cached_property
     def split(self):
@@ -190,10 +193,10 @@ class IdealFacts:
         L = self.ideal
         if L.n != 3:
             return "not a 3-variable ideal"
-        if contains(L, _X):
-            return "x is a generator, so the colon by x is the unit ideal"
         colon, xfree = self.split
-        if isinstance(colon, UnitIdeal) or isinstance(xfree, ZeroIdeal):
+        if isinstance(colon, UnitIdeal):
+            return "x is a generator, so the colon by x is the unit ideal"
+        if isinstance(xfree, ZeroIdeal):
             return "splitting is degenerate"
         shape = sorted(colon.gens, key=lambda g: g.exponents, reverse=True)
         is_z_power = (
@@ -363,8 +366,8 @@ def check_tail_agreement(L: MonomialIdeal) -> CheckReport:
         return CheckReport(L, "excluded(not a lex-segment ideal)")
     if not f.artinian:
         return CheckReport(L, "vacuous(quotient not Artinian)")
-    if contains(L, variable(1, L.n)):
-        # (L, x_1) = L, so the two tails are the same list.
+    if isinstance(f.colon(1), UnitIdeal):
+        # x_1 is in L, so (L, x_1) = L and the two tails are the same list.
         return _tail_report(
             L, "vacuous(L already contains x_1, so L = (L, x_1))"
         )

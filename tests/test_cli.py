@@ -1,5 +1,8 @@
 """Command-line surface: the generator grammar, rendering, exit codes."""
 
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -10,11 +13,19 @@ from lexbs.ideal import UnitIdeal, format_ideal, minimalize
 from lexbs.monomial import Monomial
 from lexbs.verify import CheckReport
 
+import lexbs
 import lexbs.cli as cli
 import lexbs.verify as verify
 from lexbs.cli import IdealSyntaxError, main, parse_ideal, render_betti
 
-from conftest import CAMPAIGN_MACHINE_ROWS, SPLICE8_TEXT, STAGGER_TEXT, m
+from conftest import (
+    CAMPAIGN_MACHINE_ROWS,
+    FAMILY26_TEXT,
+    QUADRIC_TEXT,
+    SPLICE8_TEXT,
+    STAGGER_TEXT,
+    m,
+)
 
 
 def run(capsys, *argv):
@@ -348,3 +359,100 @@ def test_betti_deep_z_power(capsys):
 def test_deep_degree_commands_exit_zero(capsys, argv):
     code, out, err = timed_run(capsys, *argv)
     assert code == 0, err
+
+
+# ----------------------------------------------- one parser per process
+
+# (argv, expected exit) covering every way a call can end; an exit given
+# as SystemExit(code) comes from argparse itself.
+MIXED_CALLS = [
+    (("betti", QUADRIC_TEXT), 0),
+    (("betti", "--quotient", QUADRIC_TEXT), 0),
+    (("decompose", "--norm", "unit", "--machine", QUADRIC_TEXT), 0),
+    (("betti", "--vars", "4", "x1^2, x1*x2, x1*x3, x2^2"), 0),
+    (("check", "thm2", FAMILY26_TEXT), 2),
+    (("betti", "(y,z)^8"), 2),
+    (("betti", "xz"), 2),
+    (("bogus", QUADRIC_TEXT), SystemExit(2)),
+    (("check", "--help"), SystemExit(0)),
+    (("explain", SPLICE8_TEXT), 0),
+]
+
+
+def outcome(capsys, argv):
+    """Exit code (or the SystemExit argparse raised), stdout and stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_kept_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    fresh = {}
+    for argv, expected in MIXED_CALLS:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh[argv] = outcome(capsys, argv)
+        if isinstance(expected, SystemExit):
+            expected = ("SystemExit", expected.code)
+        assert fresh[argv][0] == expected, argv
+    monkeypatch.setattr(cli, "_parser", None)
+    calls = [argv for argv, _ in MIXED_CALLS]
+    for argv in calls + calls[::-1]:
+        assert outcome(capsys, argv) == fresh[argv], argv
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    build = cli.build_parser
+    built = []
+
+    def counted():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv, _ in MIXED_CALLS * 3:
+        outcome(capsys, argv)
+    assert len(built) == 1
+    assert build() is not build()
+
+
+def _python(*args):
+    """Run this interpreter with lexbs importable from its source tree."""
+    src = os.path.dirname(os.path.dirname(lexbs.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+
+
+def test_import_builds_no_parser():
+    # Building the parser at import would add its cost to every process
+    # that imports lexbs.cli, the campaign's workers included.
+    probe = (
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    made.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import lexbs.cli\n"
+        "print(len(made), lexbs.cli._parser)\n"
+    )
+    result = _python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 None\n"
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    result = _python("-m", "lexbs", "betti", QUADRIC_TEXT)
+    code, out, err = run(capsys, "betti", QUADRIC_TEXT)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+    assert code == 0
