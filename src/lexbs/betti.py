@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb
 from typing import Optional
 
-from .ideal import MonomialIdeal, stable_violation
+from .ideal import MonomialIdeal, is_stable, stable_violation
 from .monomial import format_monomial, max_index
 
 
@@ -67,12 +67,6 @@ def ek_betti(I: MonomialIdeal) -> BettiDiagram:
     violating generator.
     """
     _require_stable(I)
-    return _ek_diagram(I)
-
-
-def _ek_diagram(I: MonomialIdeal) -> BettiDiagram:
-    """The Eliahou-Kervaire count of ek_betti, for callers that already
-    know I is stable."""
     entries: dict[tuple[int, int], int] = {}
     for g in I.gens:
         m = max_index(g)
@@ -132,10 +126,10 @@ def regularity(I: MonomialIdeal) -> int:
 
 
 def _require_stable(I: MonomialIdeal) -> None:
-    """Raise ValueError naming a generator whose exchange leaves I."""
-    witness = stable_violation(I)
-    if witness is not None:
-        u, i, v = witness
+    """Raise ValueError naming a generator whose exchange leaves I,
+    unless I is stable."""
+    if not is_stable(I):
+        u, i, v = stable_violation(I)
         raise ValueError(
             f"ideal is not stable: generator {format_monomial(u)} needs "
             f"x_{i}*{format_monomial(u)}/x_{max_index(u)} = "

@@ -40,9 +40,8 @@ def bs_decompose(B: BettiDiagram) -> Decomposition:
 
     Each step subtracts alpha * pi(d) where d is the top degree sequence
     of the remainder and alpha = min_i remainder[i, d_i] / entry_i.
-    Diagrams outside the cone surface as NotDecomposable, either through
-    a malformed top sequence or through a negative entry after
-    subtraction.
+    Diagrams outside the cone surface as NotDecomposable, through a
+    malformed top sequence.
 
     The remainder is kept as integer numerators over one common
     denominator: a step finds alpha by cross-multiplying and subtracts
@@ -78,16 +77,12 @@ def bs_decompose(B: BettiDiagram) -> Decomposition:
             den *= e
             for key in num:
                 num[key] *= e
-        for (i, d), pe in pi:
-            v = num[(i, d)] - a * pe
-            if v < 0:
-                raise NotDecomposable(
-                    f"entry ({i}, {d}) driven negative by pi{seq}"
-                )
+        for key, pe in pi:
+            v = num[key] - a * pe
             if v == 0:
-                del num[(i, d)]
+                del num[key]
             else:
-                num[(i, d)] = v
+                num[key] = v
         g = gcd(den, *num.values())
         if g != 1:
             den //= g

@@ -50,9 +50,11 @@ class MonomialIdeal:
     Invariants: ``gens`` is nonempty, glex-descending, duplicate-free,
     and every generator has degree >= 1.  Construct through
     :func:`minimalize` unless the input is already known minimal.
+    ``_lex`` and ``_stable`` hold the answers of :func:`is_lex_segment`
+    and :func:`is_stable` once decided, and None before.
     """
 
-    __slots__ = ("n", "gens", "_hash")
+    __slots__ = ("n", "gens", "_hash", "_lex", "_stable")
 
     def __init__(self, n: int, gens):
         gens = tuple(gens)
@@ -74,6 +76,7 @@ class MonomialIdeal:
         self.n = n
         self.gens = ordered
         self._hash = hash((n, ordered))
+        self._lex = self._stable = None
 
     def __eq__(self, other):
         return (
@@ -98,6 +101,7 @@ def _ideal(n: int, gens) -> MonomialIdeal:
     I.n = n
     I.gens = ordered
     I._hash = hash((n, ordered))
+    I._lex = I._stable = None
     return I
 
 
@@ -180,9 +184,8 @@ def _exponents_of_degree(n: int, d: int):
         yield tuple(e)
 
 
-def _hilbert_function(I: MonomialIdeal, stable: bool):
-    """d -> dim_k I_d, with the counting method chosen by `stable`, which
-    says whether I is stable.
+def _hilbert_function(I: MonomialIdeal):
+    """d -> dim_k I_d, with the counting method chosen by is_stable(I).
 
     On stable input every degree-d monomial of I is u * v for exactly one
     generator u and one v in the variables x_m(u)..x_n (Eliahou-Kervaire),
@@ -190,7 +193,7 @@ def _hilbert_function(I: MonomialIdeal, stable: bool):
     is counted tuple by tuple through divisibility.
     """
     n = I.n
-    if stable:
+    if is_stable(I):
         cells = [(g.degree, n - max_index(g)) for g in I.gens]
         return lambda d: sum(comb(d - j + f, f) for j, f in cells if j <= d)
     return lambda d: sum(
@@ -206,7 +209,7 @@ def hilbert_value(I: Ideal, d: int) -> int:
         return comb(d + I.n - 1, I.n - 1)
     if isinstance(I, ZeroIdeal):
         return 0
-    return _hilbert_function(I, is_stable(I))(d)
+    return _hilbert_function(I)(d)
 
 
 # maxsize=0 stores nothing: the wrapper is kept for its call counter,
@@ -237,6 +240,19 @@ def _times_last(e: tuple[int, ...], k: int = 1) -> tuple[int, ...]:
 def is_lex_segment(I: Ideal) -> bool:
     """True iff every graded piece of I is an initial glex segment.
 
+    Decided by _initial_segments on the first call for I, and read from
+    I after that.
+    """
+    if isinstance(I, (UnitIdeal, ZeroIdeal)):
+        return True
+    if I._lex is None:
+        I._lex = _initial_segments(I)
+    return I._lex
+
+
+def _initial_segments(I: MonomialIdeal) -> bool:
+    """The lex-segment test of is_lex_segment, run on every call.
+
     Degree by degree, I_d is the shadow of I_{d-1} together with the
     degree-d generators, which lie outside that shadow.  When I_{d-1} is
     an initial segment ending in e, its shadow is the initial segment
@@ -244,8 +260,6 @@ def is_lex_segment(I: Ideal) -> bool:
     exactly when the degree-d generators have the glex ranks s, s+1, ...
     Above the last generator degree shadows keep the pieces initial.
     """
-    if isinstance(I, (UnitIdeal, ZeroIdeal)):
-        return True
     by_degree: dict[int, list[tuple[int, ...]]] = {}
     for g in I.gens:  # glex-descending: ranks ascend within a degree
         by_degree.setdefault(g.degree, []).append(g.exponents)
@@ -281,7 +295,11 @@ def stable_violation(I: MonomialIdeal):
 
 
 def is_stable(I: MonomialIdeal) -> bool:
-    return stable_violation(I) is None
+    """True iff stable_violation(I) is None, decided on the first call
+    for I and read from I after that."""
+    if I._stable is None:
+        I._stable = stable_violation(I) is None
+    return I._stable
 
 
 def is_artinian(I: Ideal) -> bool:
@@ -346,12 +364,6 @@ def split_x(L: MonomialIdeal) -> Split:
         raise ValueError("splitting needs at least two variables")
     if not is_lex_segment(L):
         raise ValueError("split_x requires a lex-segment ideal")
-    return _split_x(L)
-
-
-def _split_x(L: MonomialIdeal) -> Split:
-    """The split of split_x, for a caller that knows L is lex in two or
-    more variables."""
     colon = colon_variable(L, 1)
     projected = [
         _monomial(g.exponents[1:], g.degree) for g in L.gens if not g.exponents[0]
@@ -386,14 +398,8 @@ def lexify(I: MonomialIdeal) -> MonomialIdeal:
     """
     if is_lex_segment(I):
         return I
-    return _lex_walk(I, is_stable(I))
-
-
-def _lex_walk(I: MonomialIdeal, stable: bool) -> MonomialIdeal:
-    """The degree walk of lexify, for a caller that has decided whether
-    I is stable."""
     n = I.n
-    hilbert = _hilbert_function(I, stable)
+    hilbert = _hilbert_function(I)
     top = max_gen_degree(I)
     # The walk always ends; the limit only stops a Hilbert function that
     # is not one of an ideal.  It grows with the top generator degree D

@@ -118,24 +118,6 @@ def divides(a: Monomial, b: Monomial) -> bool:
     return all(ea <= eb for ea, eb in zip(a.exponents, b.exponents))
 
 
-def mul_var(u: Monomial, i: int) -> Monomial:
-    """u * x_i (i is 1-based)."""
-    check_variable_index(i, u.nvars)
-    e = list(u.exponents)
-    e[i - 1] += 1
-    return Monomial(e)
-
-
-def div_var(u: Monomial, i: int) -> Monomial:
-    """u / x_i; requires x_i | u."""
-    check_variable_index(i, u.nvars)
-    if u.exponents[i - 1] == 0:
-        raise ValueError(f"x_{i} does not divide {u!r}")
-    e = list(u.exponents)
-    e[i - 1] -= 1
-    return Monomial(e)
-
-
 @lru_cache(maxsize=None)
 def monomials_of_degree(n: int, d: int) -> tuple[Monomial, ...]:
     """All degree-d monomials in n variables, glex-descending.

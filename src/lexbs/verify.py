@@ -27,12 +27,13 @@ IdealFacts, which computes each item at most once.  Only the facts of
 the last ideal handed to a check are kept, so the checks of a campaign
 share them while memory holds one ideal's worth.
 
-Every ideal comes back in a campaign, as a campaign ideal and as the
-colon or (L, x_1) of others, so its lex and stability answers are kept
-longer: verdicts_of holds them for each distinct ideal, found by value,
-in a bounded cache like chain_of's.  Diagrams stay out of it; the
-diagram of a colon or (L, x_1) is rebuilt from the kept stability
-answer when needed.
+An ideal keeps its own lex and stability answers once decided (see
+is_lex_segment and is_stable).  A campaign meets each ideal again as a
+different but equal object, the colon or (L, x_1) of others, so the
+facts take every ideal they derive through canonical, which returns the
+first ideal met equal to it, answers and all, from a bounded cache like
+chain_of's.  Diagrams are not kept; the diagram of a colon or (L, x_1)
+is counted again when needed.
 """
 
 from __future__ import annotations
@@ -42,23 +43,25 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional, Union
 
-from .betti import BettiDiagram, _ek_diagram, ek_betti, mapping_cone_betti
+from .betti import ek_betti, mapping_cone_betti
 from .decompose import Decomposition, bs_decompose, split_by_length
 from .ideal import (
+    Ideal,
     MonomialIdeal,
+    Split,
     UnitIdeal,
     ZeroIdeal,
-    _lex_walk,
-    _split_x,
     add_variable,
     colon_variable,
     format_ideal,
     is_artinian,
     is_lex_segment,
     is_stable,
+    lexify,
     max_gen_degree,
     min_gen_degree,
     minimalize,
+    split_x,
 )
 from .monomial import Monomial, variable
 from .pure import pure_diagram
@@ -84,43 +87,11 @@ class CheckReport:
         return self.verdict == "fail"
 
 
-class _Verdicts:
-    """The lex and stability answers of one ideal, each decided on first
-    read and then kept."""
-
-    __slots__ = ("ideal", "_lex", "_stable")
-
-    def __init__(self, ideal: MonomialIdeal):
-        self.ideal = ideal
-        self._lex: Optional[bool] = None
-        self._stable: Optional[bool] = None
-
-    @property
-    def lex(self) -> bool:
-        if self._lex is None:
-            self._lex = is_lex_segment(self.ideal)
-        return self._lex
-
-    @property
-    def stable(self) -> bool:
-        if self._stable is None:
-            self._stable = is_stable(self.ideal)
-        return self._stable
-
-
 @lru_cache(maxsize=8192)
-def verdicts_of(I: MonomialIdeal) -> _Verdicts:
-    """The lex and stability answers of I, shared by every ideal equal
-    to I (cached)."""
-    return _Verdicts(I)
-
-
-def _diagram(I: MonomialIdeal) -> BettiDiagram:
-    """Betti diagram of I, counted on the kept stability answer;
-    non-stable input raises ek_betti's ValueError, naming the violation."""
-    if verdicts_of(I).stable:
-        return _ek_diagram(I)
-    return ek_betti(I)
+def canonical(I: Ideal) -> Ideal:
+    """The first ideal met equal to I (cached), with the answers it
+    keeps."""
+    return I
 
 
 _X = variable(1, 3)
@@ -129,63 +100,59 @@ _Y = variable(2, 3)
 
 class IdealFacts:
     """What the checks derive from one ideal L, each item computed on
-    first use and then kept; the lex and stability answers come from
-    L's verdicts_of record, looked up once.
+    first use and then kept.
 
-    The items call the module-level functions at that moment, so a
-    function rebound here (a tracer, a fault injected by a test) is the
-    one used.
+    `ideal` is L as given; `canonical` is canonical(L), and L's colons,
+    (L, x_1) and J come through canonical too, so their lex and stability
+    answers are decided once per distinct ideal in a campaign.  The items
+    call the module-level functions at that moment, so a function rebound
+    here (a tracer, a fault injected by a test) is the one used.
     """
 
     def __init__(self, ideal: MonomialIdeal):
         self.ideal = ideal
+        self.canonical = canonical(ideal)
         self._colons: dict[int, object] = {}
 
     @cached_property
-    def verdicts(self) -> _Verdicts:
-        return verdicts_of(self.ideal)
-
-    @property
     def lex(self) -> bool:
-        return self.verdicts.lex
+        return is_lex_segment(self.canonical)
 
     @cached_property
     def artinian(self) -> bool:
         return is_artinian(self.ideal)
 
-    @property
+    @cached_property
     def stable(self) -> bool:
-        return self.verdicts.stable
+        return is_stable(self.canonical)
 
     @cached_property
     def split(self):
         """L = x_1 * (L : x_1) + J, for lex L in two or more variables."""
-        if not self.lex:
-            raise ValueError("split_x requires a lex-segment ideal")
-        return _split_x(self.ideal)
+        return Split(*map(canonical, split_x(self.canonical)))
 
     def colon(self, i: int):
         """(L : x_i); the colon by x_1 is the split's when there is one."""
         if i == 1 and self.ideal.n > 1:
             return self.split.colon
         if i not in self._colons:
-            self._colons[i] = colon_variable(self.ideal, i)
+            self._colons[i] = canonical(colon_variable(self.canonical, i))
         return self._colons[i]
 
     @cached_property
     def augmented(self):
         """(L, x_1)."""
-        return add_variable(self.ideal, 1)
+        return canonical(add_variable(self.canonical, 1))
 
     @cached_property
     def diagram(self):
         """Betti diagram of L."""
-        return _diagram(self.ideal)
+        return ek_betti(self.canonical)
 
     @cached_property
     def xfree_diagram(self):
         """Betti diagram of J, the x_1-free part of the split."""
-        return _diagram(self.split.xfree)
+        return ek_betti(self.split.xfree)
 
     @cached_property
     def family(self):
@@ -236,13 +203,13 @@ def chain_of(I: MonomialIdeal) -> Decomposition:
     """Greedy chain of the ideal's Betti diagram (cached).
 
     The diagram comes from the current facts when I is their ideal and
-    is counted on I's kept stability answer otherwise; non-stable input
-    raises ek_betti's ValueError either way.
+    from ek_betti otherwise; non-stable input raises ek_betti's
+    ValueError either way.
     """
     f = _last_facts
     if f is not None and f.ideal is I:
         return bs_decompose(f.diagram)
-    return bs_decompose(_diagram(I))
+    return bs_decompose(ek_betti(I))
 
 
 def _shift_seq(seq: tuple[int, ...], by: int = 1) -> tuple[int, ...]:
@@ -553,7 +520,7 @@ def check_cone_assembly(L: MonomialIdeal) -> CheckReport:
         return CheckReport(L, "vacuous(colon by x_1 is the unit ideal)")
     if isinstance(xfree, ZeroIdeal):
         return CheckReport(L, "vacuous(no x_1-free generators)")
-    cone = mapping_cone_betti(_diagram(colon), f.xfree_diagram)
+    cone = mapping_cone_betti(ek_betti(colon), f.xfree_diagram)
     direct = f.diagram
     details = {"cone": cone, "direct": direct}
     # Both diagrams have L.n, so they differ exactly where an entry does.
@@ -577,10 +544,9 @@ def check_lex_dominance(I: MonomialIdeal) -> CheckReport:
         return CheckReport(
             I, "vacuous(not stable: the Betti formula does not apply)"
         )
-    # A lex ideal is its own lexification (what lexify returns for it).
-    lex = I if f.lex else _lex_walk(I, True)
+    lex = lexify(f.canonical)
     B = f.diagram
-    B_lex = B if lex is I else ek_betti(lex)
+    B_lex = B if lex is f.canonical else ek_betti(lex)
     details = {"lexification": lex, "equal": B == B_lex}
     for (i, j), v in sorted(B.items()):
         w = B_lex.get(i, j)
@@ -613,7 +579,7 @@ def check_split_identities(L: MonomialIdeal) -> CheckReport:
     n = L.n
     for i in range(1, n + 1):
         c = f.colon(i)
-        if not (isinstance(c, UnitIdeal) or verdicts_of(c).lex):
+        if not is_lex_segment(c):
             failures.append(
                 f"(L : x_{i}) = {format_ideal(c)} is not a lex segment"
             )
@@ -643,7 +609,7 @@ def check_split_identities(L: MonomialIdeal) -> CheckReport:
             f"by one in the colon ({min_gen_degree(colon)})"
         )
     if isinstance(xfree, MonomialIdeal):
-        if not verdicts_of(xfree).lex:
+        if not is_lex_segment(xfree):
             failures.append(
                 f"J = {format_ideal(xfree)} is not a lex segment over "
                 "the smaller ring"

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from lexbs import verify
 from lexbs.cli import parse_ideal
-from lexbs.ideal import minimalize
-from lexbs.monomial import Monomial
+from lexbs.ideal import max_gen_degree, minimalize
+from lexbs.monomial import Monomial, divides, monomials_of_degree
 
 
 @pytest.fixture(autouse=True)
@@ -29,11 +29,32 @@ def _empty_verify_caches():
     """Start every test with empty verify caches, so no answer computed
     under a fault that another test injected can reach it."""
     verify.chain_of.cache_clear()
-    verify.verdicts_of.cache_clear()
+    verify.canonical.cache_clear()
 
 
 def m(*exps):
     return Monomial(exps)
+
+
+def _contains_by_divisibility(I, u):
+    # Membership oracle independent of the shadow recurrence.
+    return any(divides(g, u) for g in I.gens)
+
+
+def _is_lex_by_scan(I, extra_degrees=3):
+    # Degree-by-degree prefix scan using only the divisibility oracle.
+    for d in range(1, max_gen_degree(I) + 1 + extra_degrees):
+        flags = [
+            _contains_by_divisibility(I, u)
+            for u in monomials_of_degree(I.n, d)
+        ]
+        seen_gap = False
+        for f in flags:
+            if not f:
+                seen_gap = True
+            elif seen_gap:
+                return False
+    return True
 
 
 def borel_closure(monos):

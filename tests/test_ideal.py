@@ -1,15 +1,18 @@
 """Ideal operations, with a brute-force membership oracle for the lex
 predicate and Hilbert counts."""
 
+import pickle
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexbs.enumeration import enumerate_artinian_lex
 from lexbs.ideal import (
     MonomialIdeal,
     UnitIdeal,
     ZeroIdeal,
+    _ideal,
     add_variable,
     colon_variable,
     contains,
@@ -29,8 +32,6 @@ from lexbs.ideal import (
 )
 from lexbs.monomial import (
     Monomial,
-    div_var,
-    divides,
     glex_compare,
     monomials_of_degree,
     one,
@@ -41,33 +42,14 @@ from lexbs.cli import parse_ideal
 from conftest import (
     FAMILY26_TEXT,
     SPLICE8_TEXT,
+    _contains_by_divisibility,
+    _is_lex_by_scan,
     borel_closure,
     ideals,
     m,
     splice8,
     stagger,
 )
-
-
-def _contains_by_divisibility(I, u):
-    # Membership oracle independent of the shadow recurrence.
-    return any(divides(g, u) for g in I.gens)
-
-
-def _is_lex_by_scan(I, extra_degrees=3):
-    # Degree-by-degree prefix scan using only the divisibility oracle.
-    for d in range(1, max_gen_degree(I) + 1 + extra_degrees):
-        flags = [
-            _contains_by_divisibility(I, u)
-            for u in monomials_of_degree(I.n, d)
-        ]
-        seen_gap = False
-        for f in flags:
-            if not f:
-                seen_gap = True
-            elif seen_gap:
-                return False
-    return True
 
 
 def test_minimalize_drops_multiples():
@@ -308,6 +290,41 @@ def test_lexify_idempotent():
     assert lexify(lexify(I)) == lexify(I)
 
 
+# ------------------------------------------- verdicts kept on the ideal
+
+
+def test_constructors_leave_verdicts_undecided():
+    # A verdict set by a constructor would go untested by every check
+    # that reads it.
+    decided = parse_ideal(SPLICE8_TEXT)
+    assert is_lex_segment(decided) and is_stable(decided)
+    built = [
+        MonomialIdeal(3, decided.gens),
+        _ideal(3, decided.gens),
+        lexify(parse_ideal("x^2, y^2, z^2")),
+        lexify(parse_ideal("x^2, xy, y^2")),
+        colon_variable(decided, 1),
+        add_variable(decided, 1),
+        split_x(decided).xfree,
+        *enumerate_artinian_lex(3),
+    ]
+    for I in built:
+        assert (I._lex, I._stable) == (None, None), I
+
+
+def test_decided_verdicts_survive_pickle():
+    # Worker processes receive and return ideals by pickle.
+    for text in (SPLICE8_TEXT, "x^2, xy, y^2", "xz, y^2"):
+        I = parse_ideal(text)
+        fresh = pickle.loads(pickle.dumps(I))
+        assert (fresh._lex, fresh._stable) == (None, None)
+        verdicts = (is_lex_segment(I), is_stable(I))
+        J = pickle.loads(pickle.dumps(I))
+        assert J == I and hash(J) == hash(I)
+        assert (J._lex, J._stable) == verdicts
+        assert (is_lex_segment(J), is_stable(J)) == verdicts
+
+
 def test_format_ideal():
     assert format_ideal(UnitIdeal(3)) == "(1)"
     assert format_ideal(ZeroIdeal(2)) == "(0)"
@@ -374,9 +391,12 @@ def test_lexify_property(I):
 
 def _colon_by_textbook(I, i):
     # (I : x_i) is generated by u/x_i for x_i | u and by u otherwise.
-    return minimalize(
-        [div_var(g, i) if g.exponents[i - 1] else g for g in I.gens], I.n
-    )
+    lowered = []
+    for g in I.gens:
+        e = list(g.exponents)
+        e[i - 1] = max(e[i - 1] - 1, 0)
+        lowered.append(Monomial(e))
+    return minimalize(lowered, I.n)
 
 
 def _sum_by_textbook(I, i):

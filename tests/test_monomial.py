@@ -3,7 +3,6 @@ import pytest
 from lexbs.monomial import (
     Monomial,
     divides,
-    div_var,
     format_monomial,
     glex_compare,
     glex_key,
@@ -11,7 +10,6 @@ from lexbs.monomial import (
     glex_unrank,
     max_index,
     monomials_of_degree,
-    mul_var,
     one,
     variable,
 )
@@ -80,15 +78,6 @@ def test_divides():
     assert divides(one(3), m(0, 5, 0))
     with pytest.raises(ValueError):
         divides(m(1, 0), m(1, 0, 0))
-
-
-def test_mul_div_var():
-    assert mul_var(m(1, 0, 2), 2) == m(1, 1, 2)
-    assert div_var(m(1, 1, 2), 3) == m(1, 1, 1)
-    with pytest.raises(ValueError):
-        div_var(m(1, 0, 2), 2)
-    with pytest.raises(ValueError):
-        mul_var(m(1, 0, 2), 4)
 
 
 def test_variable_and_one():

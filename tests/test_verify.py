@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexbs import verify
+from lexbs import ideal, verify
 from lexbs.betti import ek_betti
 from lexbs.decompose import bs_decompose
 from lexbs.enumeration import CampaignConfig, enumerate_artinian_lex, run_campaign
@@ -21,6 +21,7 @@ from lexbs.ideal import (
     lexify,
     minimalize,
     split_x,
+    stable_violation,
 )
 from lexbs.monomial import Monomial, monomials_of_degree
 from lexbs.verify import (
@@ -46,6 +47,7 @@ from conftest import (
     SPLICE8_CHAIN,
     SPLICE8_TEXT,
     STAGGER_TAIL,
+    _is_lex_by_scan,
     ideals,
     m,
     splice8,
@@ -341,7 +343,7 @@ def test_split_identities_catch_a_wrong_split(monkeypatch):
         colon, xfree = split_x(L)
         return Split(add_variable(colon, 2), xfree)
 
-    monkeypatch.setattr(verify, "_split_x", wrong_split)
+    monkeypatch.setattr(verify, "split_x", wrong_split)
     report = check_split_identities(splice8())
     assert report.verdict == "fail"
     assert report.witness.startswith(
@@ -403,15 +405,17 @@ def test_checks_never_see_another_ideals_facts():
 
 
 def test_lex_and_stability_decided_once_per_distinct_ideal(monkeypatch):
-    calls = {"is_lex_segment": Counter(), "is_stable": Counter()}
+    # The deciding work, not the reads of kept answers.
+    calls = {"_initial_segments": Counter(), "stable_violation": Counter()}
     for name, counter in calls.items():
 
-        def counted(I, decide=getattr(verify, name), counter=counter):
+        def counted(I, decide=getattr(ideal, name), counter=counter):
             counter[I] += 1
             return decide(I)
 
-        monkeypatch.setattr(verify, name, counted)
+        monkeypatch.setattr(ideal, name, counted)
     run_campaign(CampaignConfig(max_deg=5))
+    monkeypatch.undo()  # split_x below decides lex on fresh ideals
 
     # The ideals a campaign meets: its own, their colons, (L, x_1) and J.
     met = set()
@@ -436,11 +440,13 @@ _LEX_OR_NOT = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(_LEX_OR_NOT)
 def test_kept_verdicts_and_diagram_match_the_predicates_property(I):
+    verify.canonical.cache_clear()  # hypothesis may draw an equal ideal again
     twin = MonomialIdeal(I.n, I.gens)  # equal to I, another object
-    expected = (is_lex_segment(I), is_stable(I))
-    for J in (I, twin):
-        kept = verify.verdicts_of(J)
-        assert (kept.lex, kept.stable) == expected
+    expected = (_is_lex_by_scan(I), stable_violation(I) is None)
+    assert verify.canonical(I) is I and verify.canonical(twin) is I
+    # Twice each: the second read comes from the answers kept on the ideal.
+    for J in (I, twin, I, twin):
+        assert (is_lex_segment(J), is_stable(J)) == expected
     for J in (I, twin):
         facts = verify.IdealFacts(J)
         assert (facts.lex, facts.stable) == expected
