@@ -228,6 +228,9 @@ def _diag(text: str):
 
 
 def _parse_or_exit(text: str, n: int):
+    if n < 1:
+        _diag(f"error: --vars must be at least 1, got {n}")
+        raise SystemExit(2)
     ideal = parse_ideal(text, n)
     if isinstance(ideal, UnitIdeal):
         _diag(

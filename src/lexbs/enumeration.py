@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 from .ideal import MonomialIdeal, _ideal, segment_shadow_size
 from .monomial import monomials_of_degree
-from .verify import CHECKS, CheckReport
+from .verify import CHECKS
 
 
 def enumerate_artinian_lex(max_deg: int) -> Iterator[MonomialIdeal]:
@@ -91,10 +91,6 @@ class CampaignSummary:
     exit_code: int = 0
 
 
-def _reduce_report(report: CheckReport) -> tuple[str, Optional[str], Optional[str]]:
-    return (report.status_kind, report.verdict, report.witness)
-
-
 def _run_checks(ideal: MonomialIdeal, checks: tuple[str, ...]):
     """Worker body: evaluate each named check on one ideal.
 
@@ -106,8 +102,7 @@ def _run_checks(ideal: MonomialIdeal, checks: tuple[str, ...]):
     rows = []
     for name in checks:
         report = CHECKS[name](ideal)
-        kind, verdict, witness = _reduce_report(report)
-        rows.append((name, kind, verdict, witness))
+        rows.append((name, report.status_kind, report.verdict, report.witness))
     failed = any(row[2] == "fail" for row in rows)
     return (repr(ideal) if failed else None, tuple(rows))
 

@@ -21,19 +21,15 @@ The checks:
 - check_split_identities: structural facts about the splitting
   L = x_1*(L : x_1) + J used throughout.
 
-The checks read what they derive from L (the split, the colons,
-(L, x_1), the family test, the Betti diagrams of L and J) from one
-IdealFacts, which computes each item at most once.  Only the facts of
-the last ideal handed to a check are kept, so the checks of a campaign
-share them while memory holds one ideal's worth.
-
-An ideal keeps its own lex and stability answers once decided (see
-is_lex_segment and is_stable).  A campaign meets each ideal again as a
-different but equal object, the colon or (L, x_1) of others, so the
-facts take every ideal they derive through canonical, which returns the
-first ideal met equal to it, answers and all, from a bounded cache like
-chain_of's.  Diagrams are not kept; the diagram of a colon or (L, x_1)
-is counted again when needed.
+The checks read what they derive from an ideal (the split, the colons,
+(L, x_1), the family test, the Betti diagram) from its IdealFacts, which
+computes each item at most once.  A campaign meets each ideal again as a
+different but equal object, the colon or (L, x_1) of others, so facts_of
+finds facts by value in a bounded cache like chain_of's and returns those
+of the first ideal met equal to its argument.  The ideals the facts derive
+are the ideals of their own facts, so an ideal's lex and stability answers
+(kept on the ideal; see is_lex_segment and is_stable) and its diagram are
+decided once per distinct ideal while its facts stay cached.
 """
 
 from __future__ import annotations
@@ -87,72 +83,51 @@ class CheckReport:
         return self.verdict == "fail"
 
 
-@lru_cache(maxsize=8192)
-def canonical(I: Ideal) -> Ideal:
-    """The first ideal met equal to I (cached), with the answers it
-    keeps."""
-    return I
-
-
 _X = variable(1, 3)
 _Y = variable(2, 3)
 
 
 class IdealFacts:
-    """What the checks derive from one ideal L, each item computed on
-    first use and then kept.
+    """What the checks derive from one ideal, each item computed on first
+    use and then kept.
 
-    `ideal` is L as given; `canonical` is canonical(L), and L's colons,
-    (L, x_1) and J come through canonical too, so their lex and stability
-    answers are decided once per distinct ideal in a campaign.  The items
-    call the module-level functions at that moment, so a function rebound
-    here (a tracer, a fault injected by a test) is the one used.
+    Take them from facts_of: `ideal` is then the first ideal met equal to
+    the one asked for, and the split, the colons and (L, x_1) are the
+    ideals of their own facts.  The items call the module-level functions
+    at that moment, so a function rebound here (a tracer, a fault
+    injected by a test) is the one used.
     """
 
-    def __init__(self, ideal: MonomialIdeal):
+    def __init__(self, ideal: Ideal):
         self.ideal = ideal
-        self.canonical = canonical(ideal)
-        self._colons: dict[int, object] = {}
-
-    @cached_property
-    def lex(self) -> bool:
-        return is_lex_segment(self.canonical)
+        self._colons: dict[int, Ideal] = {}
 
     @cached_property
     def artinian(self) -> bool:
         return is_artinian(self.ideal)
 
     @cached_property
-    def stable(self) -> bool:
-        return is_stable(self.canonical)
-
-    @cached_property
     def split(self):
         """L = x_1 * (L : x_1) + J, for lex L in two or more variables."""
-        return Split(*map(canonical, split_x(self.canonical)))
+        return Split(*(facts_of(I).ideal for I in split_x(self.ideal)))
 
     def colon(self, i: int):
         """(L : x_i); the colon by x_1 is the split's when there is one."""
         if i == 1 and self.ideal.n > 1:
             return self.split.colon
         if i not in self._colons:
-            self._colons[i] = canonical(colon_variable(self.canonical, i))
+            self._colons[i] = facts_of(colon_variable(self.ideal, i)).ideal
         return self._colons[i]
 
     @cached_property
     def augmented(self):
         """(L, x_1)."""
-        return canonical(add_variable(self.canonical, 1))
+        return facts_of(add_variable(self.ideal, 1)).ideal
 
     @cached_property
     def diagram(self):
-        """Betti diagram of L."""
-        return ek_betti(self.canonical)
-
-    @cached_property
-    def xfree_diagram(self):
-        """Betti diagram of J, the x_1-free part of the split."""
-        return ek_betti(self.split.xfree)
+        """Betti diagram of the ideal."""
+        return ek_betti(self.ideal)
 
     @cached_property
     def family(self):
@@ -186,30 +161,17 @@ class IdealFacts:
         return (t, k)
 
 
-_last_facts: Optional[IdealFacts] = None
-
-
-def facts_of(L: MonomialIdeal) -> IdealFacts:
-    """The facts of L: those of the last ideal asked for when that was
-    this very object, new ones otherwise."""
-    global _last_facts
-    if _last_facts is None or _last_facts.ideal is not L:
-        _last_facts = IdealFacts(L)
-    return _last_facts
+@lru_cache(maxsize=8192)
+def facts_of(I: Ideal) -> IdealFacts:
+    """The facts of the first ideal met equal to I (cached)."""
+    return IdealFacts(I)
 
 
 @lru_cache(maxsize=8192)
 def chain_of(I: MonomialIdeal) -> Decomposition:
-    """Greedy chain of the ideal's Betti diagram (cached).
-
-    The diagram comes from the current facts when I is their ideal and
-    from ek_betti otherwise; non-stable input raises ek_betti's
-    ValueError either way.
-    """
-    f = _last_facts
-    if f is not None and f.ideal is I:
-        return bs_decompose(f.diagram)
-    return bs_decompose(ek_betti(I))
+    """Greedy chain of the ideal's Betti diagram (cached); non-stable
+    input raises ek_betti's ValueError."""
+    return bs_decompose(facts_of(I).diagram)
 
 
 def _shift_seq(seq: tuple[int, ...], by: int = 1) -> tuple[int, ...]:
@@ -224,7 +186,7 @@ def check_colon_prefix(L: MonomialIdeal) -> CheckReport:
     same coefficients except that the last one may grow.
     """
     f = facts_of(L)
-    if not f.lex:
+    if not is_lex_segment(f.ideal):
         return CheckReport(L, "excluded(not a lex-segment ideal)")
     if not f.artinian:
         return CheckReport(
@@ -329,7 +291,7 @@ def check_tail_agreement(L: MonomialIdeal) -> CheckReport:
     excluded but the comparison is still evaluated and recorded.
     """
     f = facts_of(L)
-    if not f.lex:
+    if not is_lex_segment(f.ideal):
         return CheckReport(L, "excluded(not a lex-segment ideal)")
     if not f.artinian:
         return CheckReport(L, "vacuous(quotient not Artinian)")
@@ -350,7 +312,7 @@ def check_tail_agreement(L: MonomialIdeal) -> CheckReport:
 def check_excluded_family_tails(L: MonomialIdeal) -> CheckReport:
     """Tail agreement on the family the previous check excludes."""
     f = facts_of(L)
-    if not f.lex:
+    if not is_lex_segment(f.ideal):
         return CheckReport(L, "excluded(wrong-family: not a lex-segment ideal)")
     if not f.artinian:
         return CheckReport(L, "excluded(wrong-family: quotient not Artinian)")
@@ -452,7 +414,7 @@ def explain_chain(L: MonomialIdeal) -> ProvenanceReport:
     if L.n != 3:
         raise ValueError("provenance annotation needs a 3-variable ideal")
     f = facts_of(L)
-    if not f.lex:
+    if not is_lex_segment(f.ideal):
         raise ValueError("provenance annotation needs a lex-segment ideal")
     if not f.artinian:
         raise ValueError("provenance annotation needs an Artinian quotient")
@@ -511,7 +473,7 @@ def check_cone_assembly(L: MonomialIdeal) -> CheckReport:
     and at least one x_1-free generator.
     """
     f = facts_of(L)
-    if not f.lex:
+    if not is_lex_segment(f.ideal):
         return CheckReport(L, "vacuous(not a lex-segment ideal)")
     if L.n < 2:
         return CheckReport(L, "vacuous(one variable: nothing to split)")
@@ -520,7 +482,9 @@ def check_cone_assembly(L: MonomialIdeal) -> CheckReport:
         return CheckReport(L, "vacuous(colon by x_1 is the unit ideal)")
     if isinstance(xfree, ZeroIdeal):
         return CheckReport(L, "vacuous(no x_1-free generators)")
-    cone = mapping_cone_betti(ek_betti(colon), f.xfree_diagram)
+    cone = mapping_cone_betti(
+        facts_of(colon).diagram, facts_of(xfree).diagram
+    )
     direct = f.diagram
     details = {"cone": cone, "direct": direct}
     # Both diagrams have L.n, so they differ exactly where an entry does.
@@ -540,13 +504,13 @@ def check_cone_assembly(L: MonomialIdeal) -> CheckReport:
 def check_lex_dominance(I: MonomialIdeal) -> CheckReport:
     """Betti numbers of a stable ideal never exceed its lexification's."""
     f = facts_of(I)
-    if not f.stable:
+    if not is_stable(f.ideal):
         return CheckReport(
             I, "vacuous(not stable: the Betti formula does not apply)"
         )
-    lex = lexify(f.canonical)
+    lex = lexify(f.ideal)
     B = f.diagram
-    B_lex = B if lex is f.canonical else ek_betti(lex)
+    B_lex = facts_of(lex).diagram
     details = {"lexification": lex, "equal": B == B_lex}
     for (i, j), v in sorted(B.items()):
         w = B_lex.get(i, j)
@@ -571,7 +535,7 @@ def check_split_identities(L: MonomialIdeal) -> CheckReport:
     identities on J's Betti numbers in two variables.
     """
     f = facts_of(L)
-    if not f.lex:
+    if not is_lex_segment(f.ideal):
         return CheckReport(L, "vacuous(not a lex-segment ideal)")
     if L.n < 2:
         return CheckReport(L, "vacuous(one variable: nothing to split)")
@@ -583,7 +547,7 @@ def check_split_identities(L: MonomialIdeal) -> CheckReport:
             failures.append(
                 f"(L : x_{i}) = {format_ideal(c)} is not a lex segment"
             )
-    if not f.stable:
+    if not is_stable(f.ideal):
         failures.append("lex-segment ideal is not stable")
     colon, xfree = f.split
     # Exponent tuples of x_1 * G(L : x_1), then of G(J); a failure
@@ -623,16 +587,14 @@ def check_split_identities(L: MonomialIdeal) -> CheckReport:
                     f"not above max degree {gap_hi} of the colon"
                 )
         if xfree.n == 2:
-            failures.extend(
-                _two_variable_column_identities(xfree, f.xfree_diagram)
-            )
+            failures.extend(_two_variable_column_identities(xfree))
     details = {"failures": tuple(failures)}
     if failures:
         return CheckReport(L, "applicable", "fail", "; ".join(failures), details)
     return CheckReport(L, "applicable", "pass", None, details)
 
 
-def _two_variable_column_identities(J: MonomialIdeal, c) -> list[str]:
+def _two_variable_column_identities(J: MonomialIdeal) -> list[str]:
     """Betti identities of a lex ideal J in two variables, read from its
     Betti diagram c.
 
@@ -642,6 +604,7 @@ def _two_variable_column_identities(J: MonomialIdeal, c) -> list[str]:
     (c_{0,k} = k+1), the ideal is the whole power, so c_{1,k+1} = k and
     nothing lives above degree k.
     """
+    c = facts_of(J).diagram
     k = min_gen_degree(J)
     problems = []
     if c.get(0, k) != c.get(1, k + 1) + 1:

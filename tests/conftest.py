@@ -29,7 +29,7 @@ def _empty_verify_caches():
     """Start every test with empty verify caches, so no answer computed
     under a fault that another test injected can reach it."""
     verify.chain_of.cache_clear()
-    verify.canonical.cache_clear()
+    verify.facts_of.cache_clear()
 
 
 def m(*exps):

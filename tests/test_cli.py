@@ -306,6 +306,22 @@ def test_gen_errors(capsys):
     assert code == 2 and "unknown generator" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("betti", "x"),
+        ("decompose", "x"),
+        ("check", "thm1", "x"),
+        ("explain", "x"),
+    ],
+)
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_vars_below_one_is_a_usage_error(capsys, argv, n):
+    code, out, err = run(capsys, *argv, "--vars", n)
+    assert (code, out) == (2, "")
+    assert err == f"error: --vars must be at least 1, got {n}\n"
+
+
 def test_syntax_error_exit_code(capsys):
     code, out, err = run(capsys, "betti", "(y,z)^8")
     assert code == 2

@@ -405,15 +405,20 @@ def test_checks_never_see_another_ideals_facts():
 
 
 def test_lex_and_stability_decided_once_per_distinct_ideal(monkeypatch):
-    # The deciding work, not the reads of kept answers.
-    calls = {"_initial_segments": Counter(), "stable_violation": Counter()}
-    for name, counter in calls.items():
+    # The deciding and counting work, not the reads of kept answers.
+    calls = {}
+    for module, name in (
+        (ideal, "_initial_segments"),
+        (ideal, "stable_violation"),
+        (verify, "ek_betti"),
+    ):
+        counter = calls[name] = Counter()
 
-        def counted(I, decide=getattr(ideal, name), counter=counter):
+        def counted(I, work=getattr(module, name), counter=counter):
             counter[I] += 1
-            return decide(I)
+            return work(I)
 
-        monkeypatch.setattr(ideal, name, counted)
+        monkeypatch.setattr(module, name, counted)
     run_campaign(CampaignConfig(max_deg=5))
     monkeypatch.undo()  # split_x below decides lex on fresh ideals
 
@@ -440,16 +445,17 @@ _LEX_OR_NOT = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(_LEX_OR_NOT)
 def test_kept_verdicts_and_diagram_match_the_predicates_property(I):
-    verify.canonical.cache_clear()  # hypothesis may draw an equal ideal again
+    verify.facts_of.cache_clear()  # hypothesis may draw an equal ideal again
     twin = MonomialIdeal(I.n, I.gens)  # equal to I, another object
     expected = (_is_lex_by_scan(I), stable_violation(I) is None)
-    assert verify.canonical(I) is I and verify.canonical(twin) is I
+    assert verify.facts_of(I).ideal is I
+    assert verify.facts_of(twin) is verify.facts_of(I)
     # Twice each: the second read comes from the answers kept on the ideal.
     for J in (I, twin, I, twin):
         assert (is_lex_segment(J), is_stable(J)) == expected
     for J in (I, twin):
         facts = verify.IdealFacts(J)
-        assert (facts.lex, facts.stable) == expected
+        assert (is_lex_segment(facts.ideal), is_stable(facts.ideal)) == expected
         try:
             diagram = ek_betti(I)
         except ValueError as exc:
