@@ -41,6 +41,9 @@ class IdealSyntaxError(ValueError):
         self.offset = offset
 
 
+_DIGITS = frozenset("0123456789")
+
+
 class _Scanner:
     __slots__ = ("text", "pos")
 
@@ -57,11 +60,24 @@ class _Scanner:
             return self.text[self.pos]
         return None
 
-    def read_digits(self) -> str:
+    def read_int(self) -> int | None:
+        """The number the ASCII digits 0-9 at the current position spell,
+        consumed; None if there are none."""
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
-        return self.text[start : self.pos]
+        if self.pos == start:
+            return None
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            raise self.error("number too long", start) from None
+
+    def error(self, message: str, pos: int | None = None) -> IdealSyntaxError:
+        """A syntax error at character `pos` (default: the current one),
+        reported at its offset in the UTF-8 bytes of the text."""
+        at = self.pos if pos is None else pos
+        return IdealSyntaxError(message, len(self.text[:at].encode()))
 
 
 _ALIAS = {"x": 0, "y": 1, "z": 2}
@@ -70,37 +86,29 @@ _ALIAS = {"x": 0, "y": 1, "z": 2}
 def _parse_variable(sc: _Scanner, n: int) -> int:
     ch = sc.peek()
     if ch is None:
-        raise IdealSyntaxError("expected a variable", sc.pos)
+        raise sc.error("expected a variable")
     if n <= 3:
         if ch not in _ALIAS:
-            raise IdealSyntaxError(
+            raise sc.error(
                 f"unknown variable {ch!r} (expected one of "
-                f"{', '.join(list(_ALIAS)[:n])})",
-                sc.pos,
+                f"{', '.join(list(_ALIAS)[:n])})"
             )
         idx = _ALIAS[ch]
         if idx >= n:
-            raise IdealSyntaxError(
-                f"unknown variable {ch!r} with only {n} variable(s)", sc.pos
-            )
+            raise sc.error(f"unknown variable {ch!r} with only {n} variable(s)")
         sc.pos += 1
         return idx
     if ch != "x":
-        raise IdealSyntaxError(
-            f"unknown variable {ch!r} (with {n} variables use x1..x{n})",
-            sc.pos,
+        raise sc.error(
+            f"unknown variable {ch!r} (with {n} variables use x1..x{n})"
         )
     sc.pos += 1
-    digits = sc.read_digits()
-    if not digits:
-        raise IdealSyntaxError(
-            f"variable index expected after 'x' (use x1..x{n})", sc.pos
-        )
-    i = int(digits)
+    start = sc.pos
+    i = sc.read_int()
+    if i is None:
+        raise sc.error(f"variable index expected after 'x' (use x1..x{n})")
     if not 1 <= i <= n:
-        raise IdealSyntaxError(
-            f"variable x{i} out of range (1..{n})", sc.pos - len(digits)
-        )
+        raise sc.error(f"variable x{i} out of range (1..{n})", start)
     return i - 1
 
 
@@ -108,12 +116,12 @@ def _parse_exponent(sc: _Scanner, n: int) -> int:
     ch = sc.peek()
     if ch == "^":
         sc.pos += 1
-        digits = sc.read_digits()
-        if not digits:
-            raise IdealSyntaxError("exponent digits expected after '^'", sc.pos)
-        return int(digits)
-    if n <= 3 and ch is not None and ch.isdigit():
-        return int(sc.read_digits())
+        e = sc.read_int()
+        if e is None:
+            raise sc.error("exponent digits expected after '^'")
+        return e
+    if n <= 3 and ch in _DIGITS:
+        return sc.read_int()
     return 1
 
 
@@ -127,14 +135,14 @@ def _parse_monomial(sc: _Scanner, n: int) -> Monomial:
             break
         if ch == "*":
             if not saw_term:
-                raise IdealSyntaxError("unexpected '*'", sc.pos)
+                raise sc.error("unexpected '*'")
             sc.pos += 1
             continue
         idx = _parse_variable(sc, n)
         exps[idx] += _parse_exponent(sc, n)
         saw_term = True
     if not saw_term:
-        raise IdealSyntaxError("expected a monomial", sc.pos)
+        raise sc.error("expected a monomial")
     return Monomial(exps)
 
 
@@ -160,17 +168,16 @@ def parse_ideal(text: str, n: int = 3):
         sc.skip_ws()
     if wrapped:
         if sc.peek() != ")":
-            raise IdealSyntaxError("expected ',' or ')'", sc.pos)
+            raise sc.error("expected ',' or ')'")
         sc.pos += 1
         sc.skip_ws()
     if sc.pos != len(sc.text):
         if sc.peek() == "^":
-            raise IdealSyntaxError(
+            raise sc.error(
                 "powers of ideals are not supported; expand the generators "
-                "(try `lexbs gen power-ideal`)",
-                sc.pos,
+                "(try `lexbs gen power-ideal`)"
             )
-        raise IdealSyntaxError(f"unexpected {sc.peek()!r}", sc.pos)
+        raise sc.error(f"unexpected {sc.peek()!r}")
     return minimalize(monos, n)
 
 
@@ -178,6 +185,12 @@ def render_betti(B: BettiDiagram) -> str:
     """Betti table text: columns are homological degree i, rows are
     j - i, zeros print as '-'.  An empty diagram prints header only.
     """
+    return "\n".join(_betti_lines(B))
+
+
+def _betti_lines(B: BettiDiagram):
+    """The lines of render_betti's table, one at a time: only the line
+    being built is held, however many rows the table has."""
     if B.entries:
         max_i = max(i for i, _ in B.entries)
         rows = [j - i for (i, j) in B.entries]
@@ -186,29 +199,22 @@ def render_betti(B: BettiDiagram) -> str:
         max_i = -1
         row_range = range(0)
     cols = range(max_i + 1)
-    cells = {}
-    for r in row_range:
-        for c in cols:
-            v = B.get(c, c + r)
-            cells[(r, c)] = str(v) if v != 0 else "-"
-    label_w = max([len(str(r)) for r in row_range] + [1])
+    # Every entry has a cell, and every other cell prints as '-'.  The
+    # widest label is at one end of the row range.
+    ends = [*row_range[:1], *row_range[-1:]]
+    label_w = max([len(str(r)) for r in ends] + [1])
     col_w = max(
-        [len(str(c)) for c in cols]
-        + [len(s) for s in cells.values()]
+        [len(str(c)) for c in cols[-1:]]
+        + [len(str(v)) for v in B.entries.values()]
         + [1]
     )
-    header = " " * label_w + " |" + "".join(
-        f" {str(c).rjust(col_w)}" for c in cols
-    )
-    sep = "-" * label_w + "-+" + "-" * (len(cols) * (col_w + 1))
-    lines = [header, sep]
+    yield " " * label_w + " |" + "".join(f" {str(c).rjust(col_w)}" for c in cols)
+    yield "-" * label_w + "-+" + "-" * (len(cols) * (col_w + 1))
     for r in row_range:
-        lines.append(
-            str(r).rjust(label_w)
-            + " |"
-            + "".join(f" {cells[(r, c)].rjust(col_w)}" for c in cols)
+        cells = (str(B.get(c, c + r) or "-") for c in cols)
+        yield str(r).rjust(label_w) + " |" + "".join(
+            f" {cell.rjust(col_w)}" for cell in cells
         )
-    return "\n".join(lines)
 
 
 def render_summand(coeff: Fraction, seq, machine: bool = False) -> str:
@@ -254,7 +260,8 @@ def _diagram_or_exit(args) -> BettiDiagram:
 
 
 def _cmd_betti(args) -> int:
-    _emit(render_betti(_diagram_or_exit(args)))
+    for line in _betti_lines(_diagram_or_exit(args)):
+        _emit(line)
     return 0
 
 

@@ -3,9 +3,12 @@
 Each check takes an ideal and returns a CheckReport with a hypothesis
 status (applicable / excluded(reason) / vacuous(reason)), a verdict
 (pass / fail plus a concrete witness on failure), and enough detail to
-reproduce the comparison by hand.  CHECKS maps the name of each law,
-as `lexbs check` and `lexbs enumerate --checks` accept it, to its check.
-The checks:
+reproduce the comparison by hand.  A check stopped by its hypothesis
+gate reports a status and no verdict; otherwise its comparison returns
+its first witness or None, and _report, the one place a verdict is set,
+fails the check exactly when there is a witness.  CHECKS maps the name
+of each law, as `lexbs check` and `lexbs enumerate --checks` accept it,
+to its check.  The checks:
 
 - check_colon_prefix: the full-length summands of the chain of
   (L : x_1), shifted by +1, open the chain of L, with equal
@@ -81,6 +84,12 @@ class CheckReport:
     @property
     def failed(self) -> bool:
         return self.verdict == "fail"
+
+
+def _report(L, status: str, witness: Optional[str], details: dict) -> CheckReport:
+    """The report of a comparison that ran: "fail" with its witness, or "pass"."""
+    verdict = "pass" if witness is None else "fail"
+    return CheckReport(L, status, verdict, witness, details)
 
 
 _X = variable(1, 3)
@@ -202,52 +211,34 @@ def check_colon_prefix(L: MonomialIdeal) -> CheckReport:
     full_L, _ = split_by_length(dec_L, n)
     expected = tuple((coeff, _shift_seq(seq)) for coeff, seq in full_colon)
     t1 = len(expected)
-    actual = full_L[:t1]
     details = {
         "prefix_length": t1,
         "colon": colon,
         "colon_chain": dec_colon,
         "ideal_chain": dec_L,
         "shifted_prefix": expected,
-        "ideal_prefix": actual,
+        "ideal_prefix": full_L[:t1],
     }
+    return _report(L, "applicable", _prefix_witness(full_L, expected), details)
+
+
+def _prefix_witness(full_L, expected) -> Optional[str]:
+    """First way the full-length summands full_L fail to open with the
+    shifted prefix `expected`, or None: too few summands, then a
+    sequence, then an inner coefficient, then a smaller last one."""
+    t1 = len(expected)
     if len(full_L) < t1:
-        return CheckReport(
-            L,
-            "applicable",
-            "fail",
-            f"chain has {len(full_L)} full-length summands, "
-            f"need at least {t1}",
-            details,
-        )
+        return f"chain has {len(full_L)} full-length summands, need at least {t1}"
     for k in range(t1):
-        if actual[k][1] != expected[k][1]:
-            return CheckReport(
-                L,
-                "applicable",
-                "fail",
-                f"summand {k}: sequence {actual[k][1]} != shifted {expected[k][1]}",
-                details,
-            )
+        if full_L[k][1] != expected[k][1]:
+            return f"summand {k}: sequence {full_L[k][1]} != shifted {expected[k][1]}"
     for k in range(t1 - 1):
-        if actual[k][0] != expected[k][0]:
-            return CheckReport(
-                L,
-                "applicable",
-                "fail",
-                f"summand {k}: coefficient {actual[k][0]} != {expected[k][0]}",
-                details,
-            )
-    if actual[t1 - 1][0] < expected[t1 - 1][0]:
-        return CheckReport(
-            L,
-            "applicable",
-            "fail",
-            f"summand {t1 - 1}: coefficient {actual[t1 - 1][0]} < "
-            f"{expected[t1 - 1][0]}",
-            details,
-        )
-    return CheckReport(L, "applicable", "pass", None, details)
+        if full_L[k][0] != expected[k][0]:
+            return f"summand {k}: coefficient {full_L[k][0]} != {expected[k][0]}"
+    last = t1 - 1
+    if full_L[last][0] < expected[last][0]:
+        return f"summand {last}: coefficient {full_L[last][0]} < {expected[last][0]}"
+    return None
 
 
 def _compare_tails(tail_a, tail_b) -> Optional[str]:
@@ -267,10 +258,7 @@ def _tail_report(L: MonomialIdeal, status: str) -> CheckReport:
     _, tail_L = split_by_length(chain_of(L), n)
     _, tail_Lx = split_by_length(chain_of(Lx), n)
     details = {"tail": tail_L, "augmented_tail": tail_Lx, "augmented": Lx}
-    diff = _compare_tails(tail_L, tail_Lx)
-    if diff is None:
-        return CheckReport(L, status, "pass", None, details)
-    return CheckReport(L, status, "fail", diff, details)
+    return _report(L, status, _compare_tails(tail_L, tail_Lx), details)
 
 
 def classify_excluded_family(L: MonomialIdeal):
@@ -486,19 +474,17 @@ def check_cone_assembly(L: MonomialIdeal) -> CheckReport:
         facts_of(colon).diagram, facts_of(xfree).diagram
     )
     direct = f.diagram
-    details = {"cone": cone, "direct": direct}
     # Both diagrams have L.n, so they differ exactly where an entry does.
-    for i, j in sorted(set(cone.entries) | set(direct.entries)):
-        if cone.get(i, j) != direct.get(i, j):
-            return CheckReport(
-                L,
-                "applicable",
-                "fail",
-                f"beta_({i},{j}): cone gives {cone.get(i, j)}, "
-                f"direct formula gives {direct.get(i, j)}",
-                details,
-            )
-    return CheckReport(L, "applicable", "pass", None, details)
+    witness = next(
+        (
+            f"beta_({i},{j}): cone gives {cone.get(i, j)}, "
+            f"direct formula gives {direct.get(i, j)}"
+            for i, j in sorted(set(cone.entries) | set(direct.entries))
+            if cone.get(i, j) != direct.get(i, j)
+        ),
+        None,
+    )
+    return _report(L, "applicable", witness, {"cone": cone, "direct": direct})
 
 
 def check_lex_dominance(I: MonomialIdeal) -> CheckReport:
@@ -511,18 +497,16 @@ def check_lex_dominance(I: MonomialIdeal) -> CheckReport:
     lex = lexify(f.ideal)
     B = f.diagram
     B_lex = facts_of(lex).diagram
+    witness = next(
+        (
+            f"beta_({i},{j}) = {v} exceeds lexification's {B_lex.get(i, j)}"
+            for (i, j), v in sorted(B.items())
+            if v > B_lex.get(i, j)
+        ),
+        None,
+    )
     details = {"lexification": lex, "equal": B == B_lex}
-    for (i, j), v in sorted(B.items()):
-        w = B_lex.get(i, j)
-        if v > w:
-            return CheckReport(
-                I,
-                "applicable",
-                "fail",
-                f"beta_({i},{j}) = {v} exceeds lexification's {w}",
-                details,
-            )
-    return CheckReport(I, "applicable", "pass", None, details)
+    return _report(I, "applicable", witness, details)
 
 
 def check_split_identities(L: MonomialIdeal) -> CheckReport:
@@ -589,9 +573,7 @@ def check_split_identities(L: MonomialIdeal) -> CheckReport:
         if xfree.n == 2:
             failures.extend(_two_variable_column_identities(xfree))
     details = {"failures": tuple(failures)}
-    if failures:
-        return CheckReport(L, "applicable", "fail", "; ".join(failures), details)
-    return CheckReport(L, "applicable", "pass", None, details)
+    return _report(L, "applicable", "; ".join(failures) or None, details)
 
 
 def _two_variable_column_identities(J: MonomialIdeal) -> list[str]:

@@ -1,15 +1,18 @@
 """Command-line surface: the generator grammar, rendering, exit codes."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lexbs.betti import ek_betti, quotient_diagram
 from lexbs.enumeration import _run_checks, enumerate_artinian_lex
-from lexbs.ideal import UnitIdeal, format_ideal, minimalize
+from lexbs.ideal import MonomialIdeal, UnitIdeal, format_ideal, minimalize
 from lexbs.monomial import Monomial
 from lexbs.verify import CheckReport
 
@@ -82,6 +85,44 @@ def test_parse_stray_character_offset():
     with pytest.raises(IdealSyntaxError) as err:
         parse_ideal("x^2, @")
     assert "byte 5" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, n, offset, message",
+    [
+        ("x\u00b2", 3, 1, "unknown variable '\u00b2' (expected one of x, y, z)"),
+        ("x^\u0663", 3, 2, "exponent digits expected after '^'"),
+        ("x1\u00b2", 4, 2, "unknown variable '\u00b2' (with 4 variables use x1..x4)"),
+    ],
+)
+def test_only_ascii_digits_are_digits(capsys, text, n, offset, message):
+    # str.isdigit() also accepts superscripts and other scripts' digits,
+    # which int() then rejects or reads as ASCII ones.
+    code, out, err = run(capsys, "betti", text, "--vars", str(n))
+    assert (code, out) == (2, "")
+    assert err == f"error: syntax error at byte {offset}: {message}\n"
+
+
+def test_syntax_error_offset_counts_utf8_bytes():
+    # The no-break space is one character and two bytes.
+    with pytest.raises(IdealSyntaxError) as err:
+        parse_ideal("x,\u00a0q")
+    assert err.value.offset == 4
+    assert str(err.value) == (
+        "syntax error at byte 4: unknown variable 'q' (expected one of x, y, z)"
+    )
+
+
+def test_number_longer_than_int_converts(capsys):
+    # int() refuses strings of more than 4300 digits by default.
+    digits = "1" * 5000
+    for argv, offset in (
+        (("betti", f"x^{digits}"), 2),
+        (("betti", "--vars", "4", f"x1, x{digits}"), 5),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: syntax error at byte {offset}: number too long\n"
 
 
 def test_parse_bare_number():
@@ -340,6 +381,49 @@ def test_unexpected_error_exit_code(capsys, monkeypatch):
     assert err == "error: internal error: RuntimeError: injected fault\n"
 
 
+# ------------------------------------------------------ any text at all
+
+# Texts that argparse would not read as options, drawn from any character
+# but mostly from the grammar's, so that most get past their first few.
+_ARGUMENT_TEXT = st.text(
+    st.one_of(st.sampled_from("xyz0123456789^*,() "), st.characters()),
+    max_size=16,
+).filter(lambda s: not s.startswith("-"))
+
+
+# Digits that str.isdigit() accepts but int() rejects or reads as ASCII.
+_NON_ASCII_DIGITS = ("x\u00b2", "x^\u0663", "xy\u00b2z")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGUMENT_TEXT)
+@example(_NON_ASCII_DIGITS[0])
+@example(_NON_ASCII_DIGITS[1])
+@example(_NON_ASCII_DIGITS[2])
+def test_parse_ideal_returns_or_raises_a_syntax_error_property(text):
+    try:
+        ideal = parse_ideal(text)
+    except IdealSyntaxError:
+        return
+    assert isinstance(ideal, (MonomialIdeal, UnitIdeal))
+
+
+# `betti` is left out: a text such as "z99999999999" asks for a table
+# with 10^11 rows, which is an answer, only a long one.
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([("check", "thm2"), ("decompose",), ("explain",)]),
+    _ARGUMENT_TEXT,
+)
+@example(("decompose",), _NON_ASCII_DIGITS[0])
+@example(("explain",), _NON_ASCII_DIGITS[2])
+def test_any_ideal_text_ends_in_an_honest_exit_property(command, text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, text])
+    assert code in (0, 1, 2), err.getvalue()
+
+
 # -------------------------------------------- deep degrees, 1 s ceilings
 
 DEEP_LEX = "x^2, xy, xz, y^3, y^2z, yz^2, z^600"
@@ -465,6 +549,26 @@ def test_import_builds_no_parser():
     result = _python("-c", probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "0 None\n"
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="needs RLIMIT_AS enforced"
+)
+def test_betti_table_streams_in_bounded_memory():
+    # Building the whole table first took about 0.4 KB per row, so this
+    # 300,002-row table ran out of the 100 MiB address space.
+    probe = (
+        "import resource, sys\n"
+        "limit = 100 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "from lexbs.cli import main\n"
+        "sys.exit(main(['betti', 'x, y, z^300000']))\n"
+    )
+    result = _python("-c", probe)
+    assert (result.returncode, result.stderr) == (0, "")
+    lines = result.stdout.splitlines()
+    assert len(lines) == 2 + 300000
+    assert lines[-1].split() == ["300000", "|", "1", "2", "1"]
 
 
 def test_python_dash_m_runs_the_cli(capsys):

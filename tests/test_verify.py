@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexbs import ideal, verify
-from lexbs.betti import ek_betti
-from lexbs.decompose import bs_decompose
+from lexbs.betti import BettiDiagram, ek_betti, mapping_cone_betti
+from lexbs.decompose import Decomposition, bs_decompose
 from lexbs.enumeration import CampaignConfig, enumerate_artinian_lex, run_campaign
 from lexbs.ideal import (
     MonomialIdeal,
@@ -351,6 +351,131 @@ def test_split_identities_catch_a_wrong_split(monkeypatch):
     )
 
 
+# ------------------------------------------------------- failure witnesses
+
+# No true law fails on a real ideal, so these tests hand the checks
+# fabricated chains and diagrams and pin the first witness each reports.
+
+
+def _with_chains(monkeypatch, chains):
+    """Make verify.chain_of answer from `chains`, a map ideal -> summands."""
+    monkeypatch.setattr(
+        verify, "chain_of", lambda I: Decomposition(tuple(chains[I]))
+    )
+
+
+def _outcome(report):
+    return (report.status, report.verdict, report.witness)
+
+
+@pytest.mark.parametrize(
+    "colon_chain, ideal_chain, witness",
+    [
+        # Too few full-length summands: reported before the sequences.
+        (
+            ((F(1), (1, 3, 4)), (F(1), (2, 3, 4))),
+            ((F(1), (2, 3, 5)), (F(8), (8, 9))),
+            "chain has 1 full-length summands, need at least 2",
+        ),
+        # A sequence differs at index 1: reported before the coefficient
+        # that differs at index 0.
+        (
+            ((F(1), (1, 3, 4)), (F(1), (2, 3, 4))),
+            ((F(2), (2, 4, 5)), (F(1), (3, 4, 6))),
+            "summand 1: sequence (3, 4, 6) != shifted (3, 4, 5)",
+        ),
+        (
+            ((F(1), (1, 3, 4)), (F(1), (2, 3, 4))),
+            ((F(1, 2), (2, 4, 5)), (F(1), (3, 4, 5))),
+            "summand 0: coefficient 1/2 != 1",
+        ),
+        # The last shared coefficient may grow but not shrink.
+        (
+            ((F(1), (1, 3, 4)), (F(2, 3), (2, 3, 4))),
+            ((F(1), (2, 4, 5)), (F(1, 3), (3, 4, 5))),
+            "summand 1: coefficient 1/3 < 2/3",
+        ),
+    ],
+)
+def test_colon_prefix_failure_witnesses(
+    monkeypatch, colon_chain, ideal_chain, witness
+):
+    L = splice8()
+    _with_chains(
+        monkeypatch, {colon_variable(L, 1): colon_chain, L: ideal_chain}
+    )
+    report = check_colon_prefix(L)
+    assert _outcome(report) == ("applicable", "fail", witness)
+    assert report.details["prefix_length"] == len(colon_chain)
+
+
+@pytest.mark.parametrize(
+    "augmented_tail, witness",
+    [
+        (
+            ((F(8), (8, 9)),),
+            "tail lengths differ: 2 vs 1",
+        ),
+        (
+            ((F(8), (8, 9)), (F(2), (8,))),
+            "tail position 1: (Fraction(1, 1), (8,)) vs (Fraction(2, 1), (8,))",
+        ),
+    ],
+)
+def test_tail_failure_witnesses(monkeypatch, augmented_tail, witness):
+    head = ((F(1), (2, 4, 5)),)
+    tail = ((F(8), (8, 9)), (F(1), (8,)))
+    cases = (
+        (splice8(), check_tail_agreement, "applicable"),
+        (
+            parse_ideal(FAMILY26_TEXT),
+            check_tail_agreement,
+            "excluded(family x*(x, y, z^2) + J with k = 6)",
+        ),
+        (parse_ideal(FAMILY26_TEXT), check_excluded_family_tails, "applicable"),
+    )
+    for L, check, status in cases:
+        _with_chains(
+            monkeypatch,
+            {L: head + tail, add_variable(L, 1): head + augmented_tail},
+        )
+        report = check(L)
+        assert _outcome(report) == (status, "fail", witness)
+        assert report.details["augmented_tail"] == augmented_tail
+
+
+def test_cone_assembly_failure_witness(monkeypatch):
+    # Two entries differ; the first in (i, j) order is the witness.
+    def off_by_some(colon_diagram, xfree_diagram):
+        entries = dict(mapping_cone_betti(colon_diagram, xfree_diagram).items())
+        entries[(1, 9)] += 1
+        entries[(0, 2)] += 2
+        return BettiDiagram(colon_diagram.n, entries)
+
+    monkeypatch.setattr(verify, "mapping_cone_betti", off_by_some)
+    report = check_cone_assembly(splice8())
+    assert _outcome(report) == (
+        "applicable",
+        "fail",
+        "beta_(0,2): cone gives 3, direct formula gives 1",
+    )
+
+
+def test_lex_dominance_failure_witness(monkeypatch):
+    # Against a smaller "lexification" every entry of degree 2 exceeds;
+    # the first in (i, j) order is the witness.
+    monkeypatch.setattr(
+        verify, "lexify", lambda I: parse_ideal("x^2, xy, xz, y^3")
+    )
+    report = check_lex_dominance(parse_ideal("x^2, xy, xz, y^2"))
+    assert _outcome(report) == (
+        "applicable",
+        "fail",
+        "beta_(0,2) = 4 exceeds lexification's 3",
+    )
+    assert report.details["equal"] is False
+
+
 # ------------------------------------------------- facts shared by checks
 
 # Lex in the excluded family, lex, stable but not lex, not stable.
@@ -358,11 +483,7 @@ SHARING_TEXTS = (FAMILY26_TEXT, SPLICE8_TEXT, "x^2, xy, y^2", "xz, y^2")
 
 
 def _check_outcome(check):
-    def read(L):
-        report = check(L)
-        return (report.status, report.verdict, report.witness)
-
-    return read
+    return lambda L: _outcome(check(L))
 
 
 def _explain_outcome(L):
