@@ -322,14 +322,14 @@ def _cmd_explain(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     checks = tuple(args.checks.split(",")) if args.checks else tuple(CHECKS)
-    config = CampaignConfig(
-        max_deg=args.max_deg, checks=checks, parallelism=args.jobs
-    )
     try:
-        summary = run_campaign(config)
+        config = CampaignConfig(
+            max_deg=args.max_deg, checks=checks, parallelism=args.jobs
+        )
     except ValueError as exc:
         _diag(f"error: {exc}")
         return 2
+    summary = run_campaign(config)
     if args.machine:
         _emit(f"ideals\t{summary.total_ideals}")
         for name in checks:

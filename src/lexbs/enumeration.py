@@ -55,11 +55,34 @@ def enumerate_artinian_lex(max_deg: int) -> Iterator[MonomialIdeal]:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """What to run: degree bound, check subset, worker processes."""
+    """What to run: degree bound, check subset, worker processes.
+
+    Built only from valid values: a check name that is not in CHECKS or
+    is named twice, a degree bound or a worker count below 1 raises
+    ValueError here, so run_campaign trusts the config.
+    """
 
     max_deg: int
     checks: tuple[str, ...] = tuple(CHECKS)
     parallelism: int = 1
+
+    def __post_init__(self):
+        checks = self.checks
+        if not checks:
+            raise ValueError("no checks selected")
+        unknown = [c for c in checks if c not in CHECKS]
+        if unknown:
+            raise ValueError(
+                f"unknown checks: {', '.join(unknown)} "
+                f"(available: {', '.join(CHECKS)})"
+            )
+        repeated = [c for c in CHECKS if checks.count(c) > 1]
+        if repeated:
+            raise ValueError(f"checks named more than once: {', '.join(repeated)}")
+        if self.max_deg < 1:
+            raise ValueError("max_deg must be at least 1")
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be at least 1")
 
 
 @dataclass
@@ -111,25 +134,10 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     """Run the configured checks over every enumerated ideal.
 
     The summary is deterministic and independent of parallelism: worker
-    results are merged in enumeration order.
+    results are merged in enumeration order.  The config checked itself
+    when it was built.
     """
-    checks = tuple(config.checks)
-    if not checks:
-        raise ValueError("no checks selected")
-    unknown = [c for c in checks if c not in CHECKS]
-    if unknown:
-        raise ValueError(
-            f"unknown checks: {', '.join(unknown)} "
-            f"(available: {', '.join(CHECKS)})"
-        )
-    repeated = [c for c in CHECKS if checks.count(c) > 1]
-    if repeated:
-        raise ValueError(f"checks named more than once: {', '.join(repeated)}")
-    if config.max_deg < 1:
-        raise ValueError("max_deg must be at least 1")
-    if config.parallelism < 1:
-        raise ValueError("parallelism must be at least 1")
-
+    checks = config.checks
     workers = worker_count(config.parallelism, os.cpu_count())
     ideals = enumerate_artinian_lex(config.max_deg)
     worker = partial(_run_checks, checks=checks)

@@ -25,14 +25,16 @@ to its check.  The checks:
   L = x_1*(L : x_1) + J used throughout.
 
 The checks read what they derive from an ideal (the split, the colons,
-(L, x_1), the family test, the Betti diagram) from its IdealFacts, which
-computes each item at most once.  A campaign meets each ideal again as a
-different but equal object, the colon or (L, x_1) of others, so facts_of
-finds facts by value in a bounded cache like chain_of's and returns those
-of the first ideal met equal to its argument.  The ideals the facts derive
-are the ideals of their own facts, so an ideal's lex and stability answers
-(kept on the ideal; see is_lex_segment and is_stable) and its diagram are
-decided once per distinct ideal while its facts stay cached.
+(L, x_1), the family test, the Betti diagram and its greedy chain) from
+its IdealFacts, which computes each item at most once.  A campaign meets
+each ideal again as a different but equal object, the colon or (L, x_1)
+of others, so facts_of finds facts by value in a bounded cache, the only
+one in this module, and returns those of the first ideal met equal to its
+argument; chain_of reads the chain from there.  The ideals the facts
+derive are the ideals of their own facts, so an ideal's lex and stability
+answers (kept on the ideal; see is_lex_segment and is_stable), its
+diagram and its chain are decided once per distinct ideal while its facts
+stay cached.
 """
 
 from __future__ import annotations
@@ -139,6 +141,12 @@ class IdealFacts:
         return ek_betti(self.ideal)
 
     @cached_property
+    def chain(self) -> Decomposition:
+        """Greedy chain of the Betti diagram; non-stable input raises
+        ek_betti's ValueError."""
+        return bs_decompose(self.diagram)
+
+    @cached_property
     def family(self):
         """What classify_excluded_family returns for L."""
         L = self.ideal
@@ -176,11 +184,14 @@ def facts_of(I: Ideal) -> IdealFacts:
     return IdealFacts(I)
 
 
-@lru_cache(maxsize=8192)
 def chain_of(I: MonomialIdeal) -> Decomposition:
-    """Greedy chain of the ideal's Betti diagram (cached); non-stable
-    input raises ek_betti's ValueError."""
-    return bs_decompose(facts_of(I).diagram)
+    """Greedy chain of the ideal's Betti diagram, kept in its facts."""
+    return facts_of(I).chain
+
+
+# perfbench/tracing.py reads chain_of.cache_info(): the facts cache.
+chain_of.cache_info = facts_of.cache_info
+chain_of.cache_clear = facts_of.cache_clear
 
 
 def _shift_seq(seq: tuple[int, ...], by: int = 1) -> tuple[int, ...]:
@@ -385,7 +396,6 @@ class ProvenanceReport:
     ideal: MonomialIdeal
     tagged: tuple[tuple[Fraction, tuple[int, ...], tuple[str, ...]], ...]
     unused: tuple[tuple[str, tuple[int, ...]], ...]
-    source_chains: dict
 
     def sources_of(self, seq: tuple[int, ...]) -> tuple[str, ...]:
         for _, s, srcs in self.tagged:
@@ -413,7 +423,6 @@ def explain_chain(L: MonomialIdeal) -> ProvenanceReport:
             Decomposition(()) if isinstance(c, UnitIdeal) else chain_of(c)
         )
     chains[AUGMENTED_SOURCE] = chain_of(f.augmented)
-    source_chains = {name: ch.summands for name, ch in chains.items()}
     # Every chain here belongs to an ideal in three variables, so its
     # full-length summands are a prefix and its short ones the suffix.
     source_full = {
@@ -451,7 +460,7 @@ def explain_chain(L: MonomialIdeal) -> ProvenanceReport:
     unused += [
         (AUGMENTED_SOURCE, seq) for seq in source_short if seq not in own_short
     ]
-    return ProvenanceReport(L, tuple(tagged), tuple(unused), source_chains)
+    return ProvenanceReport(L, tuple(tagged), tuple(unused))
 
 
 def check_cone_assembly(L: MonomialIdeal) -> CheckReport:
@@ -616,7 +625,9 @@ def _two_variable_column_identities(J: MonomialIdeal) -> list[str]:
 
 # The one registry of the laws, in the column order of a campaign.  Keep it
 # a dict of the check functions: `lexbs check` and the campaign look a check
-# up here at each call, so a value rebound here reaches both.
+# up here at each call, so a value rebound here reaches `lexbs check`, a
+# serial campaign and forked workers, but not workers that a forkserver or
+# spawn start method starts afresh.
 CHECKS = {
     "thm1": check_colon_prefix,
     "thm2": check_tail_agreement,

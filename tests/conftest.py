@@ -25,10 +25,9 @@ from lexbs.monomial import Monomial, divides, monomials_of_degree
 
 
 @pytest.fixture(autouse=True)
-def _empty_verify_caches():
-    """Start every test with empty verify caches, so no answer computed
+def _empty_verify_cache():
+    """Start every test with an empty verify cache, so no answer computed
     under a fault that another test injected can reach it."""
-    verify.chain_of.cache_clear()
     verify.facts_of.cache_clear()
 
 

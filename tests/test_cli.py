@@ -321,6 +321,20 @@ def test_enumerate_unknown_check(capsys):
     assert "unknown checks: thm3" in err
 
 
+def test_enumerate_fault_in_a_check_is_an_internal_error(capsys, monkeypatch):
+    # A ValueError from inside a check is a fault, not a bad argument.
+    def broken(ideal):
+        raise ValueError("injected\nfault")
+
+    monkeypatch.setitem(verify.CHECKS, "bhp", broken)
+    code, out, err = run(
+        capsys, "enumerate", "--max-deg", "2", "--checks", "bhp", "--machine"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal error: ValueError: injected fault\n"
+
+
 def test_enumerate_subset(capsys):
     code, out, err = run(
         capsys, "enumerate", "--max-deg", "2", "--checks", "bhp", "--machine"

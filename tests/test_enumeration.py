@@ -127,9 +127,14 @@ def test_campaign_releases_workers_when_a_check_raises(monkeypatch):
     def broken(ideal):
         raise RuntimeError("injected")
 
-    monkeypatch.setitem(verify.CHECKS, "bhp", broken)
-    with pytest.raises(RuntimeError, match="injected"):
-        run_campaign(CampaignConfig(max_deg=5, checks=("bhp",), parallelism=2))
+    # A forked worker inherits the entry and raises RuntimeError; a worker
+    # started by forkserver or spawn imports a CHECKS without it and raises
+    # KeyError.  Either way the worker raises and the pool must go.
+    monkeypatch.setitem(verify.CHECKS, "injected", broken)
+    with pytest.raises((RuntimeError, KeyError), match="injected"):
+        run_campaign(
+            CampaignConfig(max_deg=5, checks=("injected",), parallelism=2)
+        )
     assert multiprocessing.active_children() == []
 
 

@@ -540,8 +540,27 @@ def test_lex_and_stability_decided_once_per_distinct_ideal(monkeypatch):
             return work(I)
 
         monkeypatch.setattr(module, name, counted)
+    # The chain is one of the facts, so it is peeled once per distinct
+    # ideal that chain_of is asked for.
+    asked = set()
+    peels = 0
+
+    def recording(I, chain_of=verify.chain_of):
+        asked.add(I)
+        return chain_of(I)
+
+    def peel(B, work=bs_decompose):
+        nonlocal peels
+        peels += 1
+        return work(B)
+
+    monkeypatch.setattr(verify, "chain_of", recording)
+    monkeypatch.setattr(verify, "bs_decompose", peel)
     run_campaign(CampaignConfig(max_deg=5))
     monkeypatch.undo()  # split_x below decides lex on fresh ideals
+
+    assert asked and peels == len(asked)
+    assert verify.chain_of.cache_info() == verify.facts_of.cache_info()
 
     # The ideals a campaign meets: its own, their colons, (L, x_1) and J.
     met = set()
