@@ -321,7 +321,7 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    checks = tuple(args.checks.split(",")) if args.checks else tuple(CHECKS)
+    checks = tuple(CHECKS) if args.checks is None else tuple(args.checks.split(","))
     try:
         config = CampaignConfig(
             max_deg=args.max_deg, checks=checks, parallelism=args.jobs
@@ -448,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--max-deg", type=int, required=True, metavar="D")
     p_enum.add_argument(
         "--checks",
-        default="",
         metavar="LIST",
         help=f"comma-separated subset of: {', '.join(CHECKS)} (default all)",
     )

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter, lt
 
 from .betti import BettiDiagram
 from .pure import NotDecomposable, pure_diagram, top_degree_sequence
@@ -41,31 +43,51 @@ def bs_decompose(B: BettiDiagram) -> Decomposition:
     Each step subtracts alpha * pi(d) where d is the top degree sequence
     of the remainder and alpha = min_i remainder[i, d_i] / entry_i.
     Diagrams outside the cone surface as NotDecomposable, through a
-    malformed top sequence.
+    malformed top sequence, with top_degree_sequence's message.
 
     The remainder is kept as integer numerators over one common
     denominator: a step finds alpha by cross-multiplying and subtracts
     after scaling by the minimizing pure entry, so only the coefficients
-    are built as Fractions.
+    are built as Fractions.  It is kept by column, in descending internal
+    degree: d is read off the column ends, and a step changes only them.
     """
-    exact = [(key, Fraction(v)) for key, v in B.items()]
+    # ints carry numerator and denominator already
+    exact = [
+        (key, v if isinstance(v, int) else Fraction(v)) for key, v in B.items()
+    ]
     if not exact:
         raise NotDecomposable("cannot decompose an empty diagram")
     den = lcm(*(v.denominator for _, v in exact))
-    num = {key: v.numerator * (den // v.denominator) for key, v in exact}
+    lo = min(i for (i, _), _ in exact)
+    width = max(i for (i, _), _ in exact) - lo + 1
+    # degs[k] and nums[k]: column lo + k, internal degrees descending.
+    degs: list[list[int]] = [[] for _ in range(width)]
+    nums: list[list[int]] = [[] for _ in range(width)]
+    for (i, j), v in sorted(exact, reverse=True):
+        degs[i - lo].append(j)
+        nums[i - lo].append(v.numerator * (den // v.denominator))
     summands: list[tuple[Fraction, tuple[int, ...]]] = []
     # Entries stay positive, so alpha > 0; the minimizing entry drops to
     # exactly zero and is deleted, so every step shrinks the remainder and
     # the loop ends with it empty.
-    while num:
-        seq = top_degree_sequence(num)
-        pi = pure_diagram(seq).items()
-        # alpha = a / (den * e): the least num[key] / pure entry, compared
-        # by cross-multiplying (pure entries are positive).
-        (key, e), rest = pi[0], pi[1:]
-        a = num[key]
-        for key, pe in rest:
-            v = num[key]
+    while degs:
+        seq = tuple(map(itemgetter(-1), filter(None, degs)))
+        # Outside the cone unless the columns are 0..p-1, none empty, and
+        # their ends strictly increase.
+        if lo or len(seq) < len(degs) or not all(map(lt, seq, seq[1:])):
+            top_degree_sequence(
+                {
+                    (lo + k, j): v
+                    for k, (col_degs, col) in enumerate(zip(degs, nums))
+                    for j, v in zip(col_degs, col)
+                }
+            )  # raises
+        pure = pure_diagram(seq).pure_entries
+        # alpha = a / (den * e): the least column end over its pure entry,
+        # compared by cross-multiplying (pure entries are positive).
+        a, e = nums[0][-1], pure[0]
+        for col, pe in zip(nums, pure):
+            v = col[-1]
             if v * e < a * pe:
                 a, e = v, pe
         g = gcd(a, e)
@@ -75,19 +97,19 @@ def bs_decompose(B: BettiDiagram) -> Decomposition:
         # remainder - alpha * pi, over the denominator den * e.
         if e != 1:
             den *= e
-            for key in num:
-                num[key] *= e
-        for key, pe in pi:
-            v = num[key] - a * pe
-            if v == 0:
-                del num[key]
-            else:
-                num[key] = v
-        g = gcd(den, *num.values())
+            nums = [[v * e for v in col] for col in nums]
+        for col_degs, col, pe in zip(degs, nums, pure):
+            col[-1] -= a * pe
+            if not col[-1]:
+                col.pop()
+                col_degs.pop()
+        while degs and not degs[-1]:
+            degs.pop()
+            nums.pop()
+        g = gcd(den, *chain.from_iterable(nums))
         if g != 1:
             den //= g
-            for key in num:
-                num[key] //= g
+            nums = [[v // g for v in col] for col in nums]
     return Decomposition(tuple(summands))
 
 

@@ -14,7 +14,6 @@ slice of the master list between the shadow size and t_d.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, Optional
@@ -57,9 +56,9 @@ def enumerate_artinian_lex(max_deg: int) -> Iterator[MonomialIdeal]:
 class CampaignConfig:
     """What to run: degree bound, check subset, worker processes.
 
-    Built only from valid values: a check name that is not in CHECKS or
-    is named twice, a degree bound or a worker count below 1 raises
-    ValueError here, so run_campaign trusts the config.
+    Built only from valid values: a check name that is empty, not in
+    CHECKS or named twice, a degree bound or a worker count below 1
+    raises ValueError here, so run_campaign trusts the config.
     """
 
     max_deg: int
@@ -70,6 +69,8 @@ class CampaignConfig:
         checks = self.checks
         if not checks:
             raise ValueError("no checks selected")
+        if "" in checks:
+            raise ValueError(f"empty check name in {','.join(checks)!r}")
         unknown = [c for c in checks if c not in CHECKS]
         if unknown:
             raise ValueError(
@@ -143,6 +144,10 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     worker = partial(_run_checks, checks=checks)
     if workers == 1:
         return _merge(map(worker, ideals), checks)
+    # Imported here: it loads multiprocessing, which a serial run or a
+    # single-ideal query never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
             return _merge(pool.map(worker, ideals, chunksize=64), checks)

@@ -50,11 +50,14 @@ class MonomialIdeal:
     Invariants: ``gens`` is nonempty, glex-descending, duplicate-free,
     and every generator has degree >= 1.  Construct through
     :func:`minimalize` unless the input is already known minimal.
-    ``_lex`` and ``_stable`` hold the answers of :func:`is_lex_segment`
-    and :func:`is_stable` once decided, and None before.
+    ``_key`` holds the exponent tuples of ``gens``, which equality and
+    the hash read: they determine n, and comparing them stays in tuples
+    of ints.  ``_lex`` and ``_stable`` hold the answers of
+    :func:`is_lex_segment` and :func:`is_stable` once decided, and None
+    before.
     """
 
-    __slots__ = ("n", "gens", "_hash", "_lex", "_stable")
+    __slots__ = ("n", "gens", "_key", "_hash", "_lex", "_stable")
 
     def __init__(self, n: int, gens):
         gens = tuple(gens)
@@ -73,17 +76,10 @@ class MonomialIdeal:
         for a, b in zip(ordered, ordered[1:]):
             if a == b:
                 raise ValueError(f"duplicate generator {a!r}")
-        self.n = n
-        self.gens = ordered
-        self._hash = hash((n, ordered))
-        self._lex = self._stable = None
+        _fill(self, n, ordered)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MonomialIdeal)
-            and self.n == other.n
-            and self.gens == other.gens
-        )
+        return isinstance(other, MonomialIdeal) and self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -92,16 +88,21 @@ class MonomialIdeal:
         return f"MonomialIdeal({self.n}, {format_ideal(self)})"
 
 
+def _fill(I: MonomialIdeal, n: int, ordered: tuple[Monomial, ...]) -> None:
+    """Set the slots of I from its glex-descending minimal generators."""
+    I.n = n
+    I.gens = ordered
+    I._key = key = tuple(g.exponents for g in ordered)
+    I._hash = hash(key)
+    I._lex = I._stable = None
+
+
 def _ideal(n: int, gens) -> MonomialIdeal:
     """The MonomialIdeal of generators known to be minimal, distinct,
     nonconstant and in n variables: sorted glex-descending, without the
     constructor's checks.  It equals and hashes like the checked one."""
     I = object.__new__(MonomialIdeal)
-    ordered = tuple(sorted(gens, key=glex_key, reverse=True))
-    I.n = n
-    I.gens = ordered
-    I._hash = hash((n, ordered))
-    I._lex = I._stable = None
+    _fill(I, n, tuple(sorted(gens, key=glex_key, reverse=True)))
     return I
 
 
@@ -281,16 +282,47 @@ def stable_violation(I: MonomialIdeal):
     Stability: for every generator u and every i < m(u), the exchange
     monomial x_i * u / x_{m(u)} lies in I.  Returns (u, i, exchange)
     for the first failure in glex order.
+
+    An exchange is first looked up by its Eliahou-Kervaire prefixes,
+    x_1^{v_1} ... x_{k-1}^{v_{k-1}} * x_k^c with 1 <= c <= v_k: a
+    generator that is a prefix divides it, so a hit proves membership,
+    and only a miss pays for the divisibility scan.  On stable input
+    every lookup hits, because the shortest prefix p of a monomial of I
+    that lies in I is a generator.  Otherwise p = g * h for a generator
+    g and h != 1.  If x_{m(p)} divides h, g divides p / x_{m(p)}; if
+    not, m(g) = m(p) and p / x_{m(p)} = (x_j * g / x_{m(g)}) * (h / x_j)
+    for a variable x_j of h.  Either way the shorter prefix p / x_{m(p)}
+    lies in I.
+
+    A generator g is a prefix of v exactly when it agrees with v before
+    m = m(g) and g_m <= v_m, so the generators are kept by their
+    exponents before m(g).  The prefixes of the exchange that end before
+    x_i are proper prefixes of u, so no generator of a minimal set; the
+    lookups run from x_i to x_{m(u)}, and on a non-minimal set the scan
+    still finds a generator they skip.
     """
-    for g in I.gens:
+    gens = I.gens
+    tops: dict[tuple[int, ...], int] = {}
+    ends = []
+    for g in gens:
         e = g.exponents
         m = max_index(g)
+        tops[e[: m - 1]] = e[m - 1]
+        ends.append(m)
+    get = tops.get
+    for g, m in zip(gens, ends):
+        e = g.exponents
         for i in range(1, m):
             v = list(e)
             v[m - 1] -= 1
             v[i - 1] += 1
-            if not _divisible(v, I.gens):
-                return (g, i, Monomial(v))
+            for k in range(i - 1, m):
+                c = get(tuple(v[:k]))
+                if c is not None and c <= v[k]:
+                    break
+            else:
+                if not _divisible(v, gens):
+                    return (g, i, Monomial(v))
     return None
 
 
@@ -321,26 +353,31 @@ def colon_variable(I: MonomialIdeal, i: int):
     together with the others.  Built from the minimal generators of I,
     no quotient divides another and no x_i-free generator divides a
     quotient, so the only ones to drop are the x_i-free generators that
-    some quotient divides.  Returns UnitIdeal when x_i itself is a
-    generator.
+    some quotient divides.  Only the quotients of generators with x_i to
+    the first power are x_i-free, so only they can divide one.  Returns
+    UnitIdeal when x_i itself is a generator.
     """
     n = I.n
     check_variable_index(i, n)
     k = i - 1
     quotients: list[Monomial] = []
+    free_quotients: list[Monomial] = []
     free: list[Monomial] = []
     for g in I.gens:
         e = g.exponents
-        if e[k]:
+        c = e[k]
+        if c:
             if g.degree == 1:
                 return UnitIdeal(n)
-            quotients.append(
-                _monomial(e[:k] + (e[k] - 1,) + e[k + 1 :], g.degree - 1)
-            )
+            q = _monomial(e[:k] + (c - 1,) + e[k + 1 :], g.degree - 1)
+            quotients.append(q)
+            if c == 1:
+                free_quotients.append(q)
         else:
             free.append(g)
-    kept = [g for g in free if not _divisible(g.exponents, quotients)]
-    return _ideal(n, quotients + kept)
+    if free_quotients:
+        free = [g for g in free if not _divisible(g.exponents, free_quotients)]
+    return _ideal(n, quotients + free)
 
 
 def add_variable(I: MonomialIdeal, i: int):

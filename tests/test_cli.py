@@ -185,6 +185,14 @@ def test_betti_rejects_non_stable(capsys):
     code, out, err = run(capsys, "betti", "xz")
     assert code == 2
     assert "x*z" in err
+    # The first generator in glex order whose exchange leaves the ideal is
+    # y, though x*z has an exchange, x*y, with no generator as a prefix.
+    code, out, err = run(capsys, "betti", "x^2, x*z, y")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: ideal is not stable: generator y needs x_1*y/x_2 = x "
+        "in the ideal\n"
+    )
 
 
 def test_decompose_unit_normalized(capsys):
@@ -319,6 +327,16 @@ def test_enumerate_unknown_check(capsys):
     )
     assert code == 2
     assert "unknown checks: thm3" in err
+
+
+def test_enumerate_empty_check_name(capsys):
+    # Both lists name an empty check: "" is not the default of all checks.
+    for checks in ("", "bhp,"):
+        code, out, err = run(
+            capsys, "enumerate", "--max-deg", "2", "--checks", checks, "--machine"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: empty check name in {checks!r}\n"
 
 
 def test_enumerate_fault_in_a_check_is_an_internal_error(capsys, monkeypatch):
@@ -563,6 +581,20 @@ def test_import_builds_no_parser():
     result = _python("-c", probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "0 None\n"
+
+
+def test_import_loads_no_process_pool():
+    # Only a campaign with more than one worker needs the pool, and loading
+    # it makes up about half the time of importing lexbs.cli.
+    probe = (
+        "import sys\n"
+        "import lexbs.cli\n"
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'}"
+        " & set(sys.modules)))\n"
+    )
+    result = _python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 @pytest.mark.skipif(

@@ -10,7 +10,7 @@ s <= t iff s is at least as long and s_i <= t_i componentwise.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexbs.betti import BettiDiagram, ek_betti, quotient_diagram
 from lexbs.decompose import (
@@ -230,6 +230,9 @@ def test_integer_peel_matches_fraction_peel_property(I, scale):
         max_size=8,
     )
 )
+# Columns that start below or above 0.
+@example({(-1, 0): Fraction(1), (0, 1): Fraction(1)})
+@example({(1, 2): Fraction(1), (2, 3): Fraction(1)})
 def test_integer_peel_matches_fraction_peel_off_the_cone(entries):
     # Random entries: mostly outside the cone, where both peels must
     # raise the same NotDecomposable message.

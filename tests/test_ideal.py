@@ -5,7 +5,7 @@ import pickle
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexbs.enumeration import enumerate_artinian_lex
 from lexbs.ideal import (
@@ -163,6 +163,14 @@ def test_stability():
     assert witness is not None
     u, i, v = witness
     assert u == m(1, 0, 1) and i == 1 and v == m(2, 0, 0)
+    # The exchange x*y of x*z lies in the ideal, but no generator is a
+    # prefix of it; the witness is y, whose exchange x is not in the ideal.
+    bad = parse_ideal("x^2, x*z, y")
+    assert not is_stable(bad)
+    assert stable_violation(bad) == (m(0, 1, 0), 1, m(1, 0, 0))
+    # x*z is not minimal: no generator is a prefix of its exchange x*y,
+    # which x divides.
+    assert is_stable(MonomialIdeal(3, [m(1, 0, 0), m(1, 0, 1)]))
 
 
 def test_stability_two_variables():
@@ -358,6 +366,36 @@ def test_hilbert_value_matches_count_property(I):
         assert hilbert_value(I, d) == _hilbert_by_count(I, d)
 
 
+def _stable_violation_by_scan(I):
+    # The first exchange in glex order that no generator divides.
+    for g in I.gens:
+        e = g.exponents
+        m_g = max(k for k, c in enumerate(e, 1) if c)
+        for i in range(1, m_g):
+            v = list(e)
+            v[m_g - 1] -= 1
+            v[i - 1] += 1
+            u = Monomial(v)
+            if not _contains_by_divisibility(I, u):
+                return (g, i, u)
+    return None
+
+
+@_PROPERTY
+@given(ideals(min_vars=1), st.data())
+def test_stable_violation_matches_scan_property(I, data):
+    assert stable_violation(I) == _stable_violation_by_scan(I)
+    # The same ideal with a multiple of a generator among the generators:
+    # a prefix lookup that misses falls back to the scan.
+    g = data.draw(st.sampled_from(I.gens))
+    k = data.draw(st.integers(0, I.n - 1))
+    e = g.exponents
+    multiple = Monomial(e[:k] + (e[k] + 1,) + e[k + 1 :])
+    J = MonomialIdeal(I.n, I.gens + (multiple,))
+    assert stable_violation(J) == _stable_violation_by_scan(J)
+    assert is_stable(J) == is_stable(I)
+
+
 @_PROPERTY
 @given(ideals())
 def test_is_lex_segment_matches_scan_property(I):
@@ -403,8 +441,12 @@ def _sum_by_textbook(I, i):
     return minimalize(list(I.gens) + [variable(i, I.n)], I.n)
 
 
+# colon_variable tests the x_i-free generators only against the quotients
+# of generators with x_i to the first power.  In the example, for i = 1,
+# the quotient x of x^2 cannot divide y^2; the quotient y of x*y does.
 @_PROPERTY
 @given(ideals(min_vars=1))
+@example(minimalize([m(2, 0, 0), m(1, 1, 0), m(0, 2, 0), m(0, 0, 1)]))
 def test_colon_and_add_variable_match_minimalize_property(I):
     for i in range(1, I.n + 1):
         for built, textbook in (
