@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb
 from typing import Optional
 
-from .ideal import MonomialIdeal, is_stable, stable_violation
+from .ideal import MonomialIdeal, is_stable, max_gen_degree, stable_violation
 from .monomial import format_monomial, max_index
 
 
@@ -122,7 +122,7 @@ def proj_dim(I: MonomialIdeal) -> int:
 def regularity(I: MonomialIdeal) -> int:
     """Castelnuovo-Mumford regularity of a stable ideal: max generator degree."""
     _require_stable(I)
-    return max(g.degree for g in I.gens)
+    return max_gen_degree(I)
 
 
 def _require_stable(I: MonomialIdeal) -> None:

@@ -31,14 +31,11 @@ def enumerate_artinian_lex(max_deg: int) -> Iterator[MonomialIdeal]:
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
 
-    def count(d: int) -> int:
-        return (d + 1) * (d + 2) // 2
-
     def rec(d: int, prev_t: int, gens: list) -> Iterator[MonomialIdeal]:
         lower = segment_shadow_size(3, d - 1, prev_t) if d > 1 else 0
-        full = count(d)
-        choices = (full,) if d == max_deg else range(lower, full + 1)
         master = monomials_of_degree(3, d)
+        full = len(master)
+        choices = (full,) if d == max_deg else range(lower, full + 1)
         for t in choices:
             new_gens = master[lower:t]
             gens.extend(new_gens)

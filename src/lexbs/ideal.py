@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
-from operator import le
+from operator import attrgetter, le
 from typing import NamedTuple, Union
 
 from .monomial import (
@@ -47,12 +47,13 @@ class ZeroIdeal:
 class MonomialIdeal:
     """A nonzero proper monomial ideal given by minimal generators.
 
-    Invariants: ``gens`` is nonempty, glex-descending, duplicate-free,
-    and every generator has degree >= 1.  Construct through
-    :func:`minimalize` unless the input is already known minimal.
-    ``_key`` holds the exponent tuples of ``gens``, which equality and
-    the hash read: they determine n, and comparing them stays in tuples
-    of ints.  ``_lex`` and ``_stable`` hold the answers of
+    Invariants: ``gens`` is nonempty and glex-descending, no generator
+    divides another (so none repeats), and every generator has degree
+    >= 1.  The constructor checks all of them and raises ValueError on a
+    list that breaks one; :func:`minimalize` builds the ideal of any
+    list.  ``_key`` holds the exponent tuples of ``gens``, which equality
+    and the hash read: they determine n, and comparing them stays in
+    tuples of ints.  ``_lex`` and ``_stable`` hold the answers of
     :func:`is_lex_segment` and :func:`is_stable` once decided, and None
     before.
     """
@@ -73,9 +74,11 @@ class MonomialIdeal:
                     "unit generator; use UnitIdeal for the whole ring"
                 )
         ordered = tuple(sorted(gens, key=glex_key, reverse=True))
-        for a, b in zip(ordered, ordered[1:]):
-            if a == b:
-                raise ValueError(f"duplicate generator {a!r}")
+        # A proper divisor has a lower degree and a copy sits next to its
+        # twin, so each generator's divisors come after it.
+        for k, a in enumerate(ordered):
+            if _divisible(a.exponents, ordered[k + 1 :]):
+                raise ValueError(f"{a!r} is divisible by another generator")
         _fill(self, n, ordered)
 
     def __eq__(self, other):
@@ -137,20 +140,21 @@ def minimalize(monos, n: int | None = None):
         return UnitIdeal(n)
     # Ascending degree: a proper divisor has strictly smaller degree,
     # so each candidate only needs testing against already-kept gens.
-    candidates = sorted(set(monos), key=lambda m: m.degree)
     kept: list[Monomial] = []
-    for m in candidates:
+    for m in sorted(set(monos), key=glex_key):
         if not _divisible(m.exponents, kept):
             kept.append(m)
-    return MonomialIdeal(n, kept)
+    return _ideal(n, kept)
 
 
 def min_gen_degree(I: MonomialIdeal) -> int:
-    return min(g.degree for g in I.gens)
+    """The least generator degree: that of the last generator."""
+    return I.gens[-1].degree
 
 
 def max_gen_degree(I: MonomialIdeal) -> int:
-    return max(g.degree for g in I.gens)
+    """The largest generator degree: that of the first generator."""
+    return I.gens[0].degree
 
 
 def _divisible(e: tuple[int, ...], gens) -> bool:
@@ -260,19 +264,19 @@ def _initial_segments(I: MonomialIdeal) -> bool:
     ending in e * x_n, of size s = rank(e * x_n) + 1, so I_d is initial
     exactly when the degree-d generators have the glex ranks s, s+1, ...
     Above the last generator degree shadows keep the pieces initial.
+    Distinct generators of one degree have strictly rising ranks, so
+    they are s, s+1, ... exactly when the first and the last are.
     """
-    by_degree: dict[int, list[tuple[int, ...]]] = {}
-    for g in I.gens:  # glex-descending: ranks ascend within a degree
-        by_degree.setdefault(g.degree, []).append(g.exponents)
     last = None  # the tuple ending the current initial segment
     last_deg = 0
-    for d in sorted(by_degree):
+    # Reversed: by ascending degree, and in a degree by falling rank.
+    for d, group in groupby(reversed(I.gens), attrgetter("degree")):
+        slice_d = [g.exponents for g in group]
         start = 0 if last is None else glex_rank(_times_last(last, d - last_deg)) + 1
-        slice_d = by_degree[d]
-        for k, e in enumerate(slice_d):
-            if glex_rank(e) != start + k:
-                return False
-        last, last_deg = slice_d[-1], d
+        k = len(slice_d) - 1
+        if glex_rank(slice_d[-1]) != start or glex_rank(slice_d[0]) != start + k:
+            return False
+        last, last_deg = slice_d[0], d
     return True
 
 
@@ -298,8 +302,8 @@ def stable_violation(I: MonomialIdeal):
     m = m(g) and g_m <= v_m, so the generators are kept by their
     exponents before m(g).  The prefixes of the exchange that end before
     x_i are proper prefixes of u, so no generator of a minimal set; the
-    lookups run from x_i to x_{m(u)}, and on a non-minimal set the scan
-    still finds a generator they skip.
+    lookups run from x_i to x_{m(u)}.  On a non-minimal set, which only
+    _ideal builds, the scan still finds a generator they skip.
     """
     gens = I.gens
     tops: dict[tuple[int, ...], int] = {}
@@ -462,9 +466,9 @@ def lexify(I: MonomialIdeal) -> MonomialIdeal:
         if d > limit:
             raise RuntimeError("lexification did not stabilize")
         if t > s:
-            gens.extend(Monomial(glex_unrank(n, d, r)) for r in range(s, t))
+            gens.extend(_monomial(glex_unrank(n, d, r), d) for r in range(s, t))
             last = gens[-1].exponents
-    return MonomialIdeal(n, gens)
+    return _ideal(n, gens)
 
 
 def format_ideal(I: Ideal) -> str:

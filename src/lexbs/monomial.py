@@ -13,6 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
+from operator import attrgetter
 
 
 class Monomial:
@@ -75,13 +76,10 @@ def variable(i: int, n: int) -> Monomial:
     return Monomial(tuple(1 if k == i - 1 else 0 for k in range(n)))
 
 
-def glex_key(u: Monomial):
-    """Sort key realizing graded lex: compare by (degree, exponents).
-
-    Comparing exponent tuples left-to-right is exactly lex order with
-    x_1 > x_2 > ... once degrees are equal.
-    """
-    return (u.degree, u.exponents)
+# Sort key realizing graded lex: glex_key(u) is (u.degree, u.exponents),
+# built in C.  Comparing exponent tuples left-to-right is exactly lex
+# order with x_1 > x_2 > ... once degrees are equal.
+glex_key = attrgetter("degree", "exponents")
 
 
 def glex_compare(a: Monomial, b: Monomial) -> int:

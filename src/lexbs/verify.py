@@ -94,10 +94,6 @@ def _report(L, status: str, witness: Optional[str], details: dict) -> CheckRepor
     return CheckReport(L, status, verdict, witness, details)
 
 
-_X = variable(1, 3)
-_Y = variable(2, 3)
-
-
 class IdealFacts:
     """What the checks derive from one ideal, each item computed on first
     use and then kept.
@@ -157,21 +153,17 @@ class IdealFacts:
             return "x is a generator, so the colon by x is the unit ideal"
         if isinstance(xfree, ZeroIdeal):
             return "splitting is degenerate"
-        shape = sorted(colon.gens, key=lambda g: g.exponents, reverse=True)
-        is_z_power = (
-            len(shape) == 3
-            and shape[0] == _X
-            and shape[1] == _Y
-            and shape[2].exponents[2] == shape[2].degree
-        )
-        if not is_z_power:
+        # Lex-descending, (x, y, z^t) reads x, y, z^t, and whatever
+        # follows x and y in that order is free of both.
+        shape = sorted((g.exponents for g in colon.gens), reverse=True)
+        if len(shape) != 3 or shape[:2] != [(1, 0, 0), (0, 1, 0)]:
             return (
                 f"colon by x is {format_ideal(colon)}, "
                 "not of the form (x, y, z^t)"
             )
-        t = shape[2].degree
+        t = shape[2][2]
         k = min_gen_degree(xfree)
-        if len(xfree.gens) == k + 1 and all(g.degree == k for g in xfree.gens):
+        if len(xfree.gens) == k + 1 and max_gen_degree(xfree) == k:
             return f"J is the full power (y, z)^{k}"
         if not 1 < t < k - 1:
             return f"t = {t} is outside 1 < t < k-1 = {k - 1}"
@@ -191,7 +183,6 @@ def chain_of(I: MonomialIdeal) -> Decomposition:
 
 # perfbench/tracing.py reads chain_of.cache_info(): the facts cache.
 chain_of.cache_info = facts_of.cache_info
-chain_of.cache_clear = facts_of.cache_clear
 
 
 def _shift_seq(seq: tuple[int, ...], by: int = 1) -> tuple[int, ...]:

@@ -89,6 +89,11 @@ def test_constructor_rejects_duplicates_and_units():
         MonomialIdeal(3, (one(3),))
     with pytest.raises(ValueError):
         MonomialIdeal(3, ())
+    # x divides x*z: the constructor takes only minimal generators, and
+    # minimalize drops the multiple.
+    with pytest.raises(ValueError):
+        MonomialIdeal(3, (m(1, 0, 0), m(1, 0, 1)))
+    assert minimalize([m(1, 0, 0), m(1, 0, 1)]) == MonomialIdeal(3, (m(1, 0, 0),))
 
 
 def test_contains():
@@ -169,8 +174,8 @@ def test_stability():
     assert not is_stable(bad)
     assert stable_violation(bad) == (m(0, 1, 0), 1, m(1, 0, 0))
     # x*z is not minimal: no generator is a prefix of its exchange x*y,
-    # which x divides.
-    assert is_stable(MonomialIdeal(3, [m(1, 0, 0), m(1, 0, 1)]))
+    # which x divides.  Only _ideal builds such a generator list.
+    assert is_stable(_ideal(3, [m(1, 0, 0), m(1, 0, 1)]))
 
 
 def test_stability_two_variables():
@@ -362,6 +367,8 @@ def test_contains_matches_divisibility_property(I, data):
 @_PROPERTY
 @given(ideals())
 def test_hilbert_value_matches_count_property(I):
+    assert min_gen_degree(I) == min(g.degree for g in I.gens)
+    assert max_gen_degree(I) == max(g.degree for g in I.gens)
     for d in range(0, max_gen_degree(I) + 3):
         assert hilbert_value(I, d) == _hilbert_by_count(I, d)
 
@@ -391,7 +398,7 @@ def test_stable_violation_matches_scan_property(I, data):
     k = data.draw(st.integers(0, I.n - 1))
     e = g.exponents
     multiple = Monomial(e[:k] + (e[k] + 1,) + e[k + 1 :])
-    J = MonomialIdeal(I.n, I.gens + (multiple,))
+    J = _ideal(I.n, I.gens + (multiple,))
     assert stable_violation(J) == _stable_violation_by_scan(J)
     assert is_stable(J) == is_stable(I)
 

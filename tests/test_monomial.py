@@ -62,6 +62,7 @@ def test_sorting_by_key():
     monos = [m(0, 0, 2), m(1, 1, 0), m(2, 0, 0), m(0, 1, 1)]
     ordered = sorted(monos, key=glex_key, reverse=True)
     assert ordered == [m(2, 0, 0), m(1, 1, 0), m(0, 1, 1), m(0, 0, 2)]
+    assert glex_key(m(1, 2, 0)) == (3, (1, 2, 0))
 
 
 def test_max_index():
