@@ -59,22 +59,39 @@ class BettiDiagram:
         return f"BettiDiagram({self.n}, {{{body}}})"
 
 
+def _diagram(n: int, entries: dict) -> BettiDiagram:
+    """The BettiDiagram of entries known to be positive and keyed by int
+    pairs, kept as given: without the constructor's copy and checks."""
+    B = object.__new__(BettiDiagram)
+    B.n = n
+    B.entries = entries
+    return B
+
+
 def ek_betti(I: MonomialIdeal) -> BettiDiagram:
     """Betti diagram of the ideal I, which must be stable.
 
     beta_{i, i+j}(I) = sum over degree-j generators u of
     binomial(m(u)-1, i).  A non-stable input raises ValueError naming a
-    violating generator.
+    violating generator.  The generators are counted by (degree, m(u))
+    first, each m(u) read off the exponents in one pass, and each count
+    then adds a binomial row.
     """
     _require_stable(I)
-    entries: dict[tuple[int, int], int] = {}
+    cells: dict[tuple[int, int], int] = {}
     for g in I.gens:
-        m = max_index(g)
-        j = g.degree
+        e = g.exponents
+        m = len(e)
+        while not e[m - 1]:
+            m -= 1
+        key = (g.degree, m)
+        cells[key] = cells.get(key, 0) + 1
+    entries: dict[tuple[int, int], int] = {}
+    for (j, m), count in cells.items():
         for i in range(m):
             key = (i, i + j)
-            entries[key] = entries.get(key, 0) + comb(m - 1, i)
-    return BettiDiagram(I.n, entries)
+            entries[key] = entries.get(key, 0) + count * comb(m - 1, i)
+    return _diagram(I.n, entries)
 
 
 def mapping_cone_betti(
@@ -100,7 +117,7 @@ def mapping_cone_betti(
         for (i, j), v in xfree_diagram.items():
             bump(i, j, v)
             bump(i + 1, j + 1, v)
-    return BettiDiagram(colon_diagram.n, out)
+    return _diagram(colon_diagram.n, out)
 
 
 def quotient_diagram(B: BettiDiagram) -> BettiDiagram:
@@ -110,7 +127,7 @@ def quotient_diagram(B: BettiDiagram) -> BettiDiagram:
     """
     entries = {(i + 1, j): v for (i, j), v in B.items()}
     entries[(0, 0)] = entries.get((0, 0), 0) + 1
-    return BettiDiagram(B.n, entries)
+    return _diagram(B.n, entries)
 
 
 def proj_dim(I: MonomialIdeal) -> int:

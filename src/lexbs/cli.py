@@ -353,15 +353,44 @@ def _cmd_enumerate(args) -> int:
     return summary.exit_code
 
 
+def _variable_key(name: str):
+    """(False, i) for the letter x, y or z (i = 0, 1, 2), (True, i) for the
+    indexed name x<i>, i >= 1, the names the parser reads in its two
+    modes; None for any other name."""
+    if name in _ALIAS:
+        return (False, _ALIAS[name])
+    digits = name[1:]
+    if name[:1] != "x" or not digits or not set(digits) <= _DIGITS:
+        return None
+    try:
+        i = int(digits)
+    except ValueError:  # more digits than int() converts
+        return None
+    return (True, i) if i >= 1 else None
+
+
 def _cmd_gen(args) -> int:
     if args.what != "power-ideal":
         _diag(f"error: unknown generator {args.what!r}")
         return 2
-    names = [v.strip() for v in args.variables.split(",") if v.strip()]
-    if not names:
+    names = [v.strip() for v in args.variables.split(",")]
+    if not any(names):
         _diag("error: no variables given")
         return 2
-    if len(set(names)) != len(names):
+    keys = []
+    for name in names:
+        key = _variable_key(name)
+        if key is None:
+            _diag(
+                f"error: {name!r} is not a variable name "
+                "(use x, y, z, or x1, x2, ...)"
+            )
+            return 2
+        keys.append(key)
+    if len({indexed for indexed, _ in keys}) > 1:
+        _diag("error: x, y, z and x1, x2, ... cannot be mixed")
+        return 2
+    if len(set(keys)) != len(keys):
         _diag("error: repeated variable name")
         return 2
     if args.degree < 1:
@@ -461,7 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
         "gen", help="emit generator lists for common constructions"
     )
     p_gen.add_argument("what", help="currently only: power-ideal")
-    p_gen.add_argument("variables", help="comma-separated variables, e.g. y,z")
+    p_gen.add_argument(
+        "variables",
+        help="comma-separated variables among x, y, z or x1, x2, ..., e.g. y,z",
+    )
     p_gen.add_argument("degree", type=int, help="the power k")
     p_gen.set_defaults(func=_cmd_gen)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter, lt
 
@@ -45,29 +44,36 @@ def bs_decompose(B: BettiDiagram) -> Decomposition:
     Diagrams outside the cone surface as NotDecomposable, through a
     malformed top sequence, with top_degree_sequence's message.
 
-    The remainder is kept as integer numerators over one common
-    denominator: a step finds alpha by cross-multiplying and subtracts
-    after scaling by the minimizing pure entry, so only the coefficients
+    The remainder is kept as integer numerators, and only the coefficients
     are built as Fractions.  It is kept by column, in descending internal
-    degree: d is read off the column ends, and a step changes only them.
+    degree: d is read off the column ends, and a step reads and changes
+    only them.  So the ends are numerators over den * s, and the entries
+    below them over den: a step finds alpha by cross-multiplying the ends,
+    scales them and s by the minimizing pure entry, and subtracts; an
+    entry that becomes an end is scaled by s; and s comes down by the gcd
+    of the ends alone.
     """
     # ints carry numerator and denominator already
-    exact = [
-        (key, v if isinstance(v, int) else Fraction(v)) for key, v in B.items()
-    ]
+    exact = sorted(
+        ((key, v if isinstance(v, int) else Fraction(v)) for key, v in B.items()),
+        reverse=True,
+    )
     if not exact:
         raise NotDecomposable("cannot decompose an empty diagram")
     den = lcm(*(v.denominator for _, v in exact))
-    lo = min(i for (i, _), _ in exact)
-    width = max(i for (i, _), _ in exact) - lo + 1
+    s = 1
+    # Descending: the first entry lies in the last column, the last in the
+    # first.
+    lo = exact[-1][0][0]
+    width = exact[0][0][0] - lo + 1
     # degs[k] and nums[k]: column lo + k, internal degrees descending.
     degs: list[list[int]] = [[] for _ in range(width)]
     nums: list[list[int]] = [[] for _ in range(width)]
-    for (i, j), v in sorted(exact, reverse=True):
+    for (i, j), v in exact:
         degs[i - lo].append(j)
         nums[i - lo].append(v.numerator * (den // v.denominator))
     summands: list[tuple[Fraction, tuple[int, ...]]] = []
-    # Entries stay positive, so alpha > 0; the minimizing entry drops to
+    # Entries stay positive, so alpha > 0; the minimizing end drops to
     # exactly zero and is deleted, so every step shrinks the remainder and
     # the loop ends with it empty.
     while degs:
@@ -83,8 +89,8 @@ def bs_decompose(B: BettiDiagram) -> Decomposition:
                 }
             )  # raises
         pure = pure_diagram(seq).pure_entries
-        # alpha = a / (den * e): the least column end over its pure entry,
-        # compared by cross-multiplying (pure entries are positive).
+        # alpha = a / (den * s * e): the least column end over its pure
+        # entry, compared by cross-multiplying (pure entries are positive).
         a, e = nums[0][-1], pure[0]
         for col, pe in zip(nums, pure):
             v = col[-1]
@@ -93,23 +99,28 @@ def bs_decompose(B: BettiDiagram) -> Decomposition:
         g = gcd(a, e)
         a //= g
         e //= g
-        summands.append((Fraction(a, den * e), seq))
-        # remainder - alpha * pi, over the denominator den * e.
-        if e != 1:
-            den *= e
-            nums = [[v * e for v in col] for col in nums]
+        summands.append((Fraction(a, den * s * e), seq))
+        # The ends minus alpha * pi, over den * s * e.
+        s *= e
         for col_degs, col, pe in zip(degs, nums, pure):
-            col[-1] -= a * pe
-            if not col[-1]:
+            v = col[-1] * e - a * pe
+            if v:
+                col[-1] = v
+            else:
                 col.pop()
                 col_degs.pop()
+                if col:
+                    col[-1] *= s
         while degs and not degs[-1]:
             degs.pop()
             nums.pop()
-        g = gcd(den, *chain.from_iterable(nums))
-        if g != 1:
-            den //= g
-            nums = [[v // g for v in col] for col in nums]
+        if s != 1:
+            g = gcd(s, *map(itemgetter(-1), filter(None, nums)))
+            if g != 1:
+                s //= g
+                for col in nums:
+                    if col:
+                        col[-1] //= g
     return Decomposition(tuple(summands))
 
 

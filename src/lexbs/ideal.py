@@ -310,7 +310,9 @@ def stable_violation(I: MonomialIdeal):
     ends = []
     for g in gens:
         e = g.exponents
-        m = max_index(g)
+        m = len(e)
+        while not e[m - 1]:
+            m -= 1
         tops[e[: m - 1]] = e[m - 1]
         ends.append(m)
     get = tops.get
@@ -405,15 +407,18 @@ def split_x(L: MonomialIdeal) -> Split:
         raise ValueError("splitting needs at least two variables")
     if not is_lex_segment(L):
         raise ValueError("split_x requires a lex-segment ideal")
-    colon = colon_variable(L, 1)
+    return Split(colon_variable(L, 1), xfree_part(L))
+
+
+def xfree_part(L: MonomialIdeal):
+    """J: the x_1-free generators of L in the last n-1 variables, or
+    ZeroIdeal(n - 1) when there are none."""
     projected = [
         _monomial(g.exponents[1:], g.degree) for g in L.gens if not g.exponents[0]
     ]
     if projected:
-        xfree = _ideal(L.n - 1, projected)
-    else:
-        xfree = ZeroIdeal(L.n - 1)
-    return Split(colon, xfree)
+        return _ideal(L.n - 1, projected)
+    return ZeroIdeal(L.n - 1)
 
 
 def segment_shadow_size(n: int, d: int, t: int) -> int:

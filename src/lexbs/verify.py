@@ -39,10 +39,10 @@ stay cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .betti import ek_betti, mapping_cone_betti
 from .decompose import Decomposition, bs_decompose, split_by_length
@@ -62,33 +62,58 @@ from .ideal import (
     max_gen_degree,
     min_gen_degree,
     minimalize,
-    split_x,
+    xfree_part,
 )
 from .monomial import Monomial, variable
 from .pure import pure_diagram
 
 
-@dataclass
 class CheckReport:
-    """Outcome of one check on one ideal."""
+    """Outcome of one check on one ideal.
 
-    ideal: Union[MonomialIdeal, UnitIdeal, ZeroIdeal]
-    status: str
-    verdict: Optional[str] = None
-    witness: Optional[str] = None
-    details: dict = field(default_factory=dict)
+    The status reads "kind" or "kind(reason)".  A check may give it as a
+    pair (kind, word) instead, where word() words the reason: the text is
+    then worded on the first read of `status` and kept, so a campaign,
+    which reads only `status_kind`, never words it.
+    """
+
+    __slots__ = ("ideal", "_status", "verdict", "witness", "details")
+
+    def __init__(
+        self,
+        ideal: Ideal,
+        status: Union[str, tuple[str, Callable[[], str]]],
+        verdict: Optional[str] = None,
+        witness: Optional[str] = None,
+        details: Optional[dict] = None,
+    ):
+        self.ideal = ideal
+        self._status = status
+        self.verdict = verdict
+        self.witness = witness
+        self.details = {} if details is None else details
+
+    @property
+    def status(self) -> str:
+        """The status text, worded on the first read."""
+        if isinstance(self._status, tuple):
+            kind, word = self._status
+            self._status = f"{kind}({word()})"
+        return self._status
 
     @property
     def status_kind(self) -> str:
         """The status without its parenthesized reason."""
-        return self.status.split("(", 1)[0]
+        if isinstance(self._status, tuple):
+            return self._status[0]
+        return self._status.split("(", 1)[0]
 
     @property
     def failed(self) -> bool:
         return self.verdict == "fail"
 
 
-def _report(L, status: str, witness: Optional[str], details: dict) -> CheckReport:
+def _report(L, status, witness: Optional[str], details: dict) -> CheckReport:
     """The report of a comparison that ran: "fail" with its witness, or "pass"."""
     verdict = "pass" if witness is None else "fail"
     return CheckReport(L, status, verdict, witness, details)
@@ -115,13 +140,12 @@ class IdealFacts:
 
     @cached_property
     def split(self):
-        """L = x_1 * (L : x_1) + J, for lex L in two or more variables."""
-        return Split(*(facts_of(I).ideal for I in split_x(self.ideal)))
+        """L = x_1 * (L : x_1) + J, for lex L in two or more variables:
+        the colon by x_1 and the projection of the x_1-free generators."""
+        return Split(self.colon(1), facts_of(xfree_part(self.ideal)).ideal)
 
     def colon(self, i: int):
-        """(L : x_i); the colon by x_1 is the split's when there is one."""
-        if i == 1 and self.ideal.n > 1:
-            return self.split.colon
+        """(L : x_i)."""
         if i not in self._colons:
             self._colons[i] = facts_of(colon_variable(self.ideal, i)).ideal
         return self._colons[i]
@@ -144,29 +168,40 @@ class IdealFacts:
 
     @cached_property
     def family(self):
-        """What classify_excluded_family returns for L."""
+        """(t, k) when L is in the family x*(x, y, z^t) + J that
+        classify_excluded_family describes, and False otherwise."""
+        return self._family(word=False)
+
+    def family_reason(self) -> str:
+        """Why L is not in the family, in classify_excluded_family's words."""
+        return self._family(word=True)
+
+    def _family(self, word: bool):
+        """(t, k) for a member of the family; for any other L, the reason
+        why not when word is true and False when not, so that only a
+        reader of the reason pays for its text."""
         L = self.ideal
         if L.n != 3:
-            return "not a 3-variable ideal"
+            return word and "not a 3-variable ideal"
         colon, xfree = self.split
         if isinstance(colon, UnitIdeal):
-            return "x is a generator, so the colon by x is the unit ideal"
+            return word and "x is a generator, so the colon by x is the unit ideal"
         if isinstance(xfree, ZeroIdeal):
-            return "splitting is degenerate"
+            return word and "splitting is degenerate"
         # Lex-descending, (x, y, z^t) reads x, y, z^t, and whatever
         # follows x and y in that order is free of both.
         shape = sorted((g.exponents for g in colon.gens), reverse=True)
         if len(shape) != 3 or shape[:2] != [(1, 0, 0), (0, 1, 0)]:
-            return (
+            return word and (
                 f"colon by x is {format_ideal(colon)}, "
                 "not of the form (x, y, z^t)"
             )
         t = shape[2][2]
         k = min_gen_degree(xfree)
         if len(xfree.gens) == k + 1 and max_gen_degree(xfree) == k:
-            return f"J is the full power (y, z)^{k}"
+            return word and f"J is the full power (y, z)^{k}"
         if not 1 < t < k - 1:
-            return f"t = {t} is outside 1 < t < k-1 = {k - 1}"
+            return word and f"t = {t} is outside 1 < t < k-1 = {k - 1}"
         return (t, k)
 
 
@@ -270,7 +305,8 @@ def classify_excluded_family(L: MonomialIdeal):
     L belongs to the family with 1 < t < k-1, and otherwise a human
     readable reason why not.  Assumes L is an Artinian lex ideal.
     """
-    return facts_of(L).family
+    f = facts_of(L)
+    return f.family or f.family_reason()
 
 
 def check_tail_agreement(L: MonomialIdeal) -> CheckReport:
@@ -290,9 +326,8 @@ def check_tail_agreement(L: MonomialIdeal) -> CheckReport:
         return _tail_report(
             L, "vacuous(L already contains x_1, so L = (L, x_1))"
         )
-    family = classify_excluded_family(L)
-    if isinstance(family, tuple):
-        t, k = family
+    if f.family:
+        t, k = f.family
         status = f"excluded(family x*(x, y, z^{t}) + J with k = {k})"
     else:
         status = "applicable"
@@ -306,9 +341,10 @@ def check_excluded_family_tails(L: MonomialIdeal) -> CheckReport:
         return CheckReport(L, "excluded(wrong-family: not a lex-segment ideal)")
     if not f.artinian:
         return CheckReport(L, "excluded(wrong-family: quotient not Artinian)")
-    family = classify_excluded_family(L)
-    if not isinstance(family, tuple):
-        return CheckReport(L, f"excluded(wrong-family: {family})")
+    if not f.family:
+        return CheckReport(
+            L, ("excluded", lambda: f"wrong-family: {f.family_reason()}")
+        )
     return _tail_report(L, "applicable")
 
 
@@ -474,16 +510,19 @@ def check_cone_assembly(L: MonomialIdeal) -> CheckReport:
         facts_of(colon).diagram, facts_of(xfree).diagram
     )
     direct = f.diagram
-    # Both diagrams have L.n, so they differ exactly where an entry does.
-    witness = next(
-        (
-            f"beta_({i},{j}): cone gives {cone.get(i, j)}, "
-            f"direct formula gives {direct.get(i, j)}"
-            for i, j in sorted(set(cone.entries) | set(direct.entries))
-            if cone.get(i, j) != direct.get(i, j)
-        ),
-        None,
-    )
+    # Both diagrams have L.n, so they differ exactly where an entry does;
+    # only then are the keys scanned for the first difference.
+    witness = None
+    if cone != direct:
+        witness = next(
+            (
+                f"beta_({i},{j}): cone gives {cone.get(i, j)}, "
+                f"direct formula gives {direct.get(i, j)}"
+                for i, j in sorted(set(cone.entries) | set(direct.entries))
+                if cone.get(i, j) != direct.get(i, j)
+            ),
+            None,
+        )
     return _report(L, "applicable", witness, {"cone": cone, "direct": direct})
 
 
@@ -497,15 +536,19 @@ def check_lex_dominance(I: MonomialIdeal) -> CheckReport:
     lex = lexify(f.ideal)
     B = f.diagram
     B_lex = facts_of(lex).diagram
-    witness = next(
-        (
-            f"beta_({i},{j}) = {v} exceeds lexification's {B_lex.get(i, j)}"
-            for (i, j), v in sorted(B.items())
-            if v > B_lex.get(i, j)
-        ),
-        None,
-    )
-    details = {"lexification": lex, "equal": B == B_lex}
+    # A lex ideal is its own lexification, and then B_lex is B.
+    equal = B is B_lex or B == B_lex
+    witness = None
+    if not equal:
+        witness = next(
+            (
+                f"beta_({i},{j}) = {v} exceeds lexification's {B_lex.get(i, j)}"
+                for (i, j), v in sorted(B.items())
+                if v > B_lex.get(i, j)
+            ),
+            None,
+        )
+    details = {"lexification": lex, "equal": equal}
     return _report(I, "applicable", witness, details)
 
 

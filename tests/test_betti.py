@@ -23,7 +23,13 @@ from lexbs.betti import (
     quotient_diagram,
     regularity,
 )
-from lexbs.ideal import hilbert_value, minimalize, split_x
+from lexbs.ideal import (
+    MonomialIdeal,
+    colon_variable,
+    hilbert_value,
+    minimalize,
+    split_x,
+)
 from lexbs.enumeration import enumerate_artinian_lex
 from lexbs.monomial import Monomial
 from lexbs.cli import parse_ideal
@@ -74,6 +80,30 @@ def test_entries_are_positive_integers():
         for (i, j), value in ek_betti(I).items():
             assert isinstance(value, int) and value > 0
             assert 0 <= i < 3 and j > i
+
+
+def _rebuilt(B):
+    """B through BettiDiagram's own copy and checks."""
+    return BettiDiagram(B.n, B.entries)
+
+
+def test_built_diagrams_pass_the_constructor_checks():
+    # ek_betti, the cone and quotients skip BettiDiagram's checks; their
+    # entries must come out the same through them.
+    for L in enumerate_artinian_lex(5):
+        ideals = [L] + [colon_variable(L, i) for i in range(1, 4)]
+        for I in ideals:
+            if isinstance(I, MonomialIdeal):
+                B = ek_betti(I)
+                assert B == _rebuilt(B)
+                assert quotient_diagram(B) == _rebuilt(quotient_diagram(B))
+        colon, xfree = split_x(L)
+        if isinstance(colon, MonomialIdeal):
+            pieces = [ek_betti(colon)]
+            if isinstance(xfree, MonomialIdeal):
+                pieces.append(ek_betti(xfree))
+            cone = mapping_cone_betti(*pieces)
+            assert cone == _rebuilt(cone)
 
 
 def test_mapping_cone_matches_direct_formula():

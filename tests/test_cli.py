@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -251,6 +252,37 @@ def test_check_excluded_exit(capsys):
     assert "excluded(wrong-family: J is the full power (y, z)^4)" in out
 
 
+def test_check_wrong_family_status(capsys):
+    # The campaign never reads this reason, so it is worded only when the
+    # status text is read; the text stays the same.
+    code, out, err = run(capsys, "check", "conjecture", SPLICE8_TEXT)
+    assert code == 2
+    assert out.splitlines()[1:] == [
+        "status: excluded(wrong-family: colon by x is (y^2, y*z, z^2, x), "
+        "not of the form (x, y, z^t))",
+        "verdict: (nothing checked)",
+    ]
+
+
+def test_check_thm1_builds_no_split(capsys, monkeypatch):
+    # thm1 reads (L : x_1) alone: neither split_x nor J is built, through
+    # whichever module refers to them.
+    calls = []
+    for module in (lexbs.ideal, verify):
+        for name in ("split_x", "xfree_part"):
+            if hasattr(module, name):
+
+                def counted(L, work=getattr(module, name), name=name):
+                    calls.append(name)
+                    return work(L)
+
+                monkeypatch.setattr(module, name, counted)
+    code, out, err = run(capsys, "check", "thm1", SPLICE8_TEXT)
+    assert (code, err) == (0, "")
+    assert "verdict: pass" in out
+    assert calls == []
+
+
 def test_check_failure_exit(capsys, monkeypatch):
     def always_fails(ideal):
         return CheckReport(ideal, "applicable", "fail", "synthetic witness")
@@ -368,11 +400,40 @@ def test_gen_power_ideal(capsys):
     assert parse_ideal(out.strip()) == minimalize(
         [m(0, 3, 0), m(0, 2, 1), m(0, 1, 2), m(0, 0, 3)]
     )
+    # Names betti would reject are usage errors, an empty one included.
+    for names, bad in (("q,w", "'q'"), (",z", "''")):
+        code, out, err = run(capsys, "gen", "power-ideal", names, "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {bad} is not a variable name (use x, y, z, or x1, x2, ...)\n"
+        )
+    # Every list gen accepts parses, in the mode its names belong to, as
+    # the power of distinct variables: C(k + r - 1, r - 1) generators.
+    for names, n in (
+        ("x", 3),
+        ("z,x", 3),
+        ("x,y,z", 3),
+        (" y , z ", 3),
+        ("x1,x2", 4),
+        ("x3,x1,x5", 5),
+    ):
+        code, out, err = run(capsys, "gen", "power-ideal", names, "3")
+        assert (code, err) == (0, "")
+        r = names.count(",") + 1
+        assert len(parse_ideal(out.strip(), n).gens) == comb(r + 2, r - 1)
+        code, _, err = run(capsys, "betti", out.strip(), "--vars", str(n))
+        assert "syntax error" not in err
 
 
 def test_gen_errors(capsys):
     code, _, err = run(capsys, "gen", "power-ideal", "y,y", "2")
     assert code == 2 and "repeated" in err
+    code, _, err = run(capsys, "gen", "power-ideal", "x1,x01", "2")
+    assert code == 2 and "repeated" in err
+    code, _, err = run(capsys, "gen", "power-ideal", "x,x2", "2")
+    assert (code, err) == (2, "error: x, y, z and x1, x2, ... cannot be mixed\n")
+    code, _, err = run(capsys, "gen", "power-ideal", "x0,x1", "2")
+    assert code == 2 and "'x0' is not a variable name" in err
     code, _, err = run(capsys, "gen", "power-ideal", "y,z", "0")
     assert code == 2
     code, _, err = run(capsys, "gen", "laurent", "y,z", "2")

@@ -12,7 +12,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lexbs.betti import BettiDiagram, ek_betti, quotient_diagram
+from lexbs.betti import (
+    BettiDiagram,
+    ek_betti,
+    mapping_cone_betti,
+    quotient_diagram,
+)
 from lexbs.decompose import (
     Decomposition,
     bs_decompose,
@@ -153,6 +158,10 @@ def _assert_exact_chain(B, chain, n):
 @given(_stable_ideals())
 def test_greedy_chain_property(I):
     B = ek_betti(I)
+    # ek_betti and the cone skip BettiDiagram's checks, which must agree.
+    assert B == BettiDiagram(I.n, B.entries)
+    cone = mapping_cone_betti(B, B)
+    assert cone == BettiDiagram(I.n, cone.entries)
     chain = bs_decompose(B)
     _assert_exact_chain(B, chain, I.n)
     # On an ideal in n variables the full-length summands open the chain

@@ -337,13 +337,12 @@ def test_split_identities():
 
 def test_split_identities_catch_a_wrong_split(monkeypatch):
     # A split whose colon gains y rebuilds x*y, which is not a generator.
-    from lexbs.ideal import Split
+    # The facts build the split's colon by x_1 through colon_variable.
+    def wrong_colon(L, i):
+        colon = colon_variable(L, i)
+        return add_variable(colon, 2) if i == 1 else colon
 
-    def wrong_split(L):
-        colon, xfree = split_x(L)
-        return Split(add_variable(colon, 2), xfree)
-
-    monkeypatch.setattr(verify, "split_x", wrong_split)
+    monkeypatch.setattr(verify, "colon_variable", wrong_colon)
     report = check_split_identities(splice8())
     assert report.verdict == "fail"
     assert report.witness.startswith(
@@ -573,6 +572,29 @@ def test_lex_and_stability_decided_once_per_distinct_ideal(monkeypatch):
         assert counter, name
         assert set(counter) <= met, name
         assert max(counter.values()) == 1, (name, counter.most_common(1))
+
+
+def test_campaign_words_no_status(monkeypatch):
+    # A campaign reads only the kind of each status, so no family reason
+    # is worded; reading the status text words it.
+    worded = []
+
+    def counted(I, work=verify.format_ideal):
+        worded.append(I)
+        return work(I)
+
+    monkeypatch.setattr(verify, "format_ideal", counted)
+    run_campaign(CampaignConfig(max_deg=5))
+    assert worded == []
+    report = check_excluded_family_tails(splice8())
+    assert (report.status_kind, worded) == ("excluded", [])
+    assert report.status == (
+        "excluded(wrong-family: colon by x is (y^2, y*z, z^2, x), "
+        "not of the form (x, y, z^t))"
+    )
+    assert len(worded) == 1
+    assert report.status.startswith("excluded(wrong-family: colon by x")
+    assert len(worded) == 1
 
 
 # Lex input is rare among random ideals; lexified ones supply it.  The
