@@ -14,8 +14,10 @@ slice of the master list between the shadow size and t_d.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from functools import partial
+from collections import Counter
+from dataclasses import dataclass, field, fields
+from itertools import islice
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .ideal import MonomialIdeal, _ideal, segment_shadow_size
@@ -113,45 +115,74 @@ class CampaignSummary:
 
 
 def _run_checks(ideal: MonomialIdeal, checks: tuple[str, ...]):
-    """Worker body: evaluate each named check on one ideal.
-
-    Returns primitives only, so results cross process boundaries
-    cheaply: (ideal repr, ((check, status kind, verdict, witness), ...)).
-    Only a failure witness names the ideal, so the repr is None when no
-    check failed.
-    """
+    """Evaluate each named check on one ideal: one row
+    (check, status kind, verdict, witness) per check, in order."""
     rows = []
     for name in checks:
         report = CHECKS[name](ideal)
         rows.append((name, report.status_kind, report.verdict, report.witness))
-    failed = any(row[2] == "fail" for row in rows)
-    return (repr(ideal) if failed else None, tuple(rows))
+    return tuple(rows)
+
+
+def _check_share(max_deg: int, checks: tuple[str, ...], k: int, shares: int):
+    """Worker body: enumerate the ideals and check those at positions
+    k, k + shares, k + 2*shares, ... of the enumeration.
+
+    Returns (counts, failures): a Counter of the ideals checked under
+    "ideals" and of each check's outcomes under (check, CheckStats field),
+    and each failure as (position, check, ideal repr, witness).  No ideal
+    is sent to the worker, and only counts and failures come back.
+    """
+    counts = Counter()
+    failures = []
+    # enumerate_artinian_lex is looked up here, not bound at import, so
+    # a caller may wrap it to time each ideal.
+    ideals = enumerate(enumerate_artinian_lex(max_deg))
+    for position, ideal in islice(ideals, k, None, shares):
+        counts["ideals"] += 1
+        for name, kind, verdict, witness in _run_checks(ideal, checks):
+            if kind not in ("vacuous", "excluded"):
+                kind = "passed" if verdict == "pass" else "failed"
+            counts[name, kind] += 1
+            if verdict == "fail":
+                failures.append((position, name, repr(ideal), witness or ""))
+    return counts, failures
 
 
 def run_campaign(config: CampaignConfig) -> CampaignSummary:
     """Run the configured checks over every enumerated ideal.
 
-    The summary is deterministic and independent of parallelism: worker
-    results are merged in enumeration order.  The config checked itself
-    when it was built.
+    Each of K worker processes enumerates the ideals for itself and
+    checks every K-th one; the parent keeps only the counts and the
+    failures it gets back, so its memory does not grow with the degree
+    bound.  A serial run checks the one share in-process.  The summary
+    is deterministic and independent of parallelism: failures are put
+    back in enumeration order.  The config checked itself when it was
+    built.
     """
-    checks = config.checks
+    args = (config.max_deg, config.checks)
     workers = worker_count(config.parallelism, os.cpu_count())
-    ideals = enumerate_artinian_lex(config.max_deg)
-    worker = partial(_run_checks, checks=checks)
     if workers == 1:
-        return _merge(map(worker, ideals), checks)
+        return _merge([_check_share(*args, 0, 1)], config.checks)
     # Imported here: it loads multiprocessing, which a serial run or a
     # single-ideal query never needs.
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_check_share, *args, k, workers) for k in range(workers)
+        ]
         try:
-            return _merge(pool.map(worker, ideals, chunksize=64), checks)
+            shares = [future.result() for future in as_completed(futures)]
         except BaseException:
-            # Drop the queued chunks: leaving the block waits for the pool.
-            pool.shutdown(cancel_futures=True)
+            # Every share runs to the end of the campaign, and leaving the
+            # block waits for each.  ProcessPoolExecutor has no public way
+            # to stop running workers before Python 3.14
+            # (terminate_workers), so end its processes here.
+            for process in pool._processes.values():
+                process.terminate()
             raise
+    return _merge(shares, config.checks)
 
 
 def worker_count(requested: int, cpus: Optional[int]) -> int:
@@ -161,34 +192,28 @@ def worker_count(requested: int, cpus: Optional[int]) -> int:
     return min(requested, cpus or 1)
 
 
-def _merge(results, checks: tuple[str, ...]) -> CampaignSummary:
-    """Fold per-ideal check rows, in enumeration order, into a summary."""
-    stats = {name: CheckStats() for name in checks}
-    witnesses = []
-    total = 0
-    for ideal_repr, rows in results:
-        total += 1
-        for name, kind, verdict, witness in rows:
-            bucket = stats[name]
-            if kind == "vacuous":
-                bucket.vacuous += 1
-            elif kind == "excluded":
-                bucket.excluded += 1
-            elif verdict == "pass":
-                bucket.passed += 1
-            else:
-                bucket.failed += 1
-            if verdict == "fail":
-                witnesses.append((name, ideal_repr, witness or ""))
-
+def _merge(shares, checks: tuple[str, ...]) -> CampaignSummary:
+    """Add up the shares' counts and put their failures in enumeration
+    order."""
+    counts = Counter()
+    failures = []
+    for share_counts, share_failures in shares:
+        counts.update(share_counts)
+        failures.extend(share_failures)
+    # Stable: one ideal's failures stay in check order.
+    failures.sort(key=itemgetter(0))
+    stats = {
+        name: CheckStats(**{f.name: counts[name, f.name] for f in fields(CheckStats)})
+        for name in checks
+    }
     bad = any(
         name != "conjecture" and stats[name].failed > 0 for name in checks
     )
     # A failed comparison on the excluded family is a finding, not a bug:
     # `conjecture` failures never flip the exit code.
     return CampaignSummary(
-        total_ideals=total,
+        total_ideals=counts["ideals"],
         stats=stats,
-        witnesses=tuple(witnesses),
+        witnesses=tuple(failure[1:] for failure in failures),
         exit_code=1 if bad else 0,
     )

@@ -302,8 +302,7 @@ def stable_violation(I: MonomialIdeal):
     m = m(g) and g_m <= v_m, so the generators are kept by their
     exponents before m(g).  The prefixes of the exchange that end before
     x_i are proper prefixes of u, so no generator of a minimal set; the
-    lookups run from x_i to x_{m(u)}.  On a non-minimal set, which only
-    _ideal builds, the scan still finds a generator they skip.
+    lookups run from x_i to x_{m(u)}.
     """
     gens = I.gens
     tops: dict[tuple[int, ...], int] = {}

@@ -304,7 +304,7 @@ def test_check_help_lists_every_law(capsys):
 def test_check_replays_campaign_rows(capsys, name):
     # Each campaign row is reproduced by `lexbs check <name> "<ideal>"`.
     for L in enumerate_artinian_lex(3):
-        [(_, kind, verdict, _)] = _run_checks(L, (name,))[1]
+        [(_, kind, verdict, _)] = _run_checks(L, (name,))
         code, out, err = run(capsys, "check", name, format_ideal(L))
         fields = dict(line.split(": ", 1) for line in out.splitlines())
         assert fields["status"].split("(", 1)[0] == kind

@@ -9,8 +9,15 @@ brute-force oracle below rebuilds the small cases straight from that
 description, without the shadow-size shortcut.
 """
 
+import faulthandler
 import multiprocessing
-from itertools import product
+import os
+import signal
+import time
+import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+from itertools import islice, product
 
 import pytest
 
@@ -18,6 +25,8 @@ import lexbs.verify as verify
 from lexbs.enumeration import (
     CHECKS,
     CampaignConfig,
+    _check_share,
+    _merge,
     enumerate_artinian_lex,
     run_campaign,
     worker_count,
@@ -114,28 +123,128 @@ def test_campaign_subset_of_checks():
     assert summary.exit_code == 0
 
 
-def test_campaign_parallel_matches_serial():
-    serial = run_campaign(CampaignConfig(max_deg=3, parallelism=1))
-    parallel = run_campaign(CampaignConfig(max_deg=3, parallelism=2))
+def _odd_fails(ideal):
+    # An injected law that fails on ideals with an odd number of generators.
+    if len(ideal.gens) % 2:
+        return verify.CheckReport(ideal, "applicable", "fail", "odd")
+    return verify.CheckReport(ideal, "applicable", "pass")
+
+
+@pytest.mark.parametrize("shares", [1, 2, 3])
+def test_shares_compose_in_enumeration_order(monkeypatch, shares):
+    monkeypatch.setitem(verify.CHECKS, "odd", _odd_fails)
+    checks = tuple(verify.CHECKS)
+    serial = run_campaign(CampaignConfig(max_deg=5, checks=checks))
+    # Workers finish in any order; the merge must not depend on it.
+    merged = _merge(
+        reversed([_check_share(5, checks, k, shares) for k in range(shares)]),
+        checks,
+    )
+    assert merged.total_ideals == serial.total_ideals == 202
+    assert merged.stats == serial.stats
+    assert merged.witnesses == serial.witnesses
+    assert [w for w in merged.witnesses if w[0] == "odd"] == [
+        ("odd", repr(L), "odd")
+        for L in enumerate_artinian_lex(5)
+        if len(L.gens) % 2
+    ]
+    assert merged.exit_code == serial.exit_code == 1
+
+
+def test_campaign_parallel_matches_serial(monkeypatch):
+    checks = tuple(CHECKS)
+    if multiprocessing.get_start_method() == "fork":
+        # Only a forked worker inherits the injected law; one started by
+        # forkserver or spawn imports a CHECKS without it.
+        monkeypatch.setitem(verify.CHECKS, "odd", _odd_fails)
+        checks += ("odd",)
+    serial = run_campaign(CampaignConfig(max_deg=5, checks=checks, parallelism=1))
+    parallel = run_campaign(CampaignConfig(max_deg=5, checks=checks, parallelism=2))
     assert serial.total_ideals == parallel.total_ideals
     assert serial.stats == parallel.stats
     assert serial.witnesses == parallel.witnesses
     assert serial.exit_code == parallel.exit_code
 
 
+needs_two_cpus = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="with one CPU the campaign runs serially"
+)
+
+
+@contextmanager
+def _hang_guard(seconds=60):
+    # A campaign that hangs ends the test run with every thread's stack.
+    faulthandler.dump_traceback_later(seconds, exit=True)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def _fault_at_second_ideal(monkeypatch, max_deg, fault):
+    """Inject a law that calls fault() on the second ideal of the
+    enumeration, which share 1 checks first, and sleeps 5 ms on every
+    other ideal, so share 0 alone takes seconds."""
+    second = next(islice(enumerate_artinian_lex(max_deg), 1, None))
+
+    def law(ideal):
+        if ideal == second:
+            fault()
+        time.sleep(0.005)
+        return verify.CheckReport(ideal, "applicable", "pass")
+
+    # A forked worker inherits the entry; a worker started by forkserver
+    # or spawn imports a CHECKS without it and raises KeyError.  Either
+    # way the campaign must raise at once and the pool must go.
+    monkeypatch.setitem(verify.CHECKS, "injected", law)
+
+
 def test_campaign_releases_workers_when_a_check_raises(monkeypatch):
-    def broken(ideal):
+    def fault():
         raise RuntimeError("injected")
 
-    # A forked worker inherits the entry and raises RuntimeError; a worker
-    # started by forkserver or spawn imports a CHECKS without it and raises
-    # KeyError.  Either way the worker raises and the pool must go.
-    monkeypatch.setitem(verify.CHECKS, "injected", broken)
-    with pytest.raises((RuntimeError, KeyError), match="injected"):
+    _fault_at_second_ideal(monkeypatch, 7, fault)
+    start = time.monotonic()
+    with _hang_guard(), pytest.raises((RuntimeError, KeyError), match="injected"):
         run_campaign(
-            CampaignConfig(max_deg=5, checks=("injected",), parallelism=2)
+            CampaignConfig(max_deg=7, checks=("injected",), parallelism=2)
         )
+    # Share 0 alone sleeps about 10 s; the fault must not wait for it.
+    assert time.monotonic() - start < 5
     assert multiprocessing.active_children() == []
+
+
+@needs_two_cpus
+def test_campaign_raises_when_a_worker_is_killed(monkeypatch):
+    parent = os.getpid()
+
+    def fault():
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _fault_at_second_ideal(monkeypatch, 7, fault)
+    start = time.monotonic()
+    with _hang_guard(), pytest.raises((BrokenProcessPool, KeyError)):
+        run_campaign(
+            CampaignConfig(max_deg=7, checks=("injected",), parallelism=2)
+        )
+    assert time.monotonic() - start < 5
+    assert multiprocessing.active_children() == []
+
+
+@needs_two_cpus
+def test_campaign_parent_memory_does_not_grow_with_the_ideals():
+    # The parent holds no ideal and no per-ideal row, only counts and
+    # failures: its peak stays far below one row per ideal (876 at D=6).
+    config = CampaignConfig(max_deg=6, parallelism=2)
+    run_campaign(config)  # warm-up: imports and pool machinery
+    tracemalloc.start()
+    try:
+        run_campaign(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 1024
 
 
 def test_campaign_witness_names_the_ideal(monkeypatch):
