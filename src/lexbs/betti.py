@@ -10,7 +10,6 @@ variable index dividing u.  Diagrams are sparse maps
 from __future__ import annotations
 
 from math import comb
-from typing import Optional
 
 from .ideal import MonomialIdeal, is_stable, max_gen_degree, stable_violation
 from .monomial import format_monomial, max_index
@@ -96,7 +95,7 @@ def ek_betti(I: MonomialIdeal) -> BettiDiagram:
 
 def mapping_cone_betti(
     colon_diagram: BettiDiagram,
-    xfree_diagram: Optional[BettiDiagram] = None,
+    xfree_diagram: BettiDiagram | None = None,
 ) -> BettiDiagram:
     """Betti diagram of L = x_1*A + J assembled from those of A and J.
 

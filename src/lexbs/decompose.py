@@ -11,7 +11,6 @@ contiguous suffix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, lt
@@ -20,11 +19,20 @@ from .betti import BettiDiagram
 from .pure import NotDecomposable, pure_diagram, top_degree_sequence
 
 
-@dataclass(frozen=True)
 class Decomposition:
     """Ordered summands (coefficient, degree sequence) of a greedy chain."""
 
-    summands: tuple[tuple[Fraction, tuple[int, ...]], ...]
+    def __init__(self, summands: tuple[tuple[Fraction, tuple[int, ...]], ...]):
+        self.summands = summands
+
+    def __eq__(self, other):
+        return type(other) is Decomposition and other.summands == self.summands
+
+    def __hash__(self):
+        return hash(self.summands)
+
+    def __repr__(self):
+        return f"Decomposition(summands={self.summands!r})"
 
     def sequences(self) -> tuple[tuple[int, ...], ...]:
         return tuple(seq for _, seq in self.summands)

@@ -14,45 +14,57 @@ slice of the master list between the shadow size and t_d.
 from __future__ import annotations
 
 import os
-from collections import Counter
-from dataclasses import dataclass, field, fields
-from itertools import islice
+from collections import Counter, namedtuple
+from collections.abc import Iterator
+from itertools import count, cycle
 from operator import itemgetter
-from typing import Iterator, Optional
 
 from .ideal import MonomialIdeal, _ideal, segment_shadow_size
 from .monomial import monomials_of_degree
 from .verify import CHECKS
 
 
-def enumerate_artinian_lex(max_deg: int) -> Iterator[MonomialIdeal]:
+def enumerate_artinian_lex(
+    max_deg: int, k: int = 0, shares: int = 1
+) -> Iterator[MonomialIdeal]:
     """Yield every Artinian lex-segment ideal in three variables with
     generators in degrees <= max_deg, each exactly once, in a fixed
     deterministic order (lexicographic in the segment-size vectors).
+
+    With shares > 1, yield only the ideals at positions k, k + shares,
+    k + 2*shares, ... of that order; the others are never built.
     """
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
+    masters = [monomials_of_degree(3, d) for d in range(max_deg + 1)]
+    # shadows[d][t]: the size of the shadow in degree d + 1 of the first
+    # t monomials of degree d
+    shadows = [
+        [segment_shadow_size(3, d, t) for t in range(len(masters[d]) + 1)]
+        for d in range(max_deg)
+    ]
+    mine = cycle([i == k for i in range(shares)])
 
     def rec(d: int, prev_t: int, gens: list) -> Iterator[MonomialIdeal]:
-        lower = segment_shadow_size(3, d - 1, prev_t) if d > 1 else 0
-        master = monomials_of_degree(3, d)
-        full = len(master)
-        choices = (full,) if d == max_deg else range(lower, full + 1)
-        for t in choices:
+        master = masters[d]
+        lower = shadows[d - 1][prev_t]
+        if d == max_deg:
+            # Minimal by construction: no slice meets the shadow below it.
+            if next(mine):
+                yield _ideal(3, [*gens, *master[lower:]])
+            return
+        for t in range(lower, len(master) + 1):
             new_gens = master[lower:t]
             gens.extend(new_gens)
-            if d == max_deg:
-                # Minimal by construction: no slice meets the shadow below it.
-                yield _ideal(3, gens)
-            else:
-                yield from rec(d + 1, t, gens)
+            yield from rec(d + 1, t, gens)
             del gens[len(gens) - len(new_gens) :]
 
     yield from rec(1, 0, [])
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(
+    namedtuple("CampaignConfig", ("max_deg", "checks", "parallelism"))
+):
     """What to run: degree bound, check subset, worker processes.
 
     Built only from valid values: a check name that is empty, not in
@@ -60,12 +72,14 @@ class CampaignConfig:
     raises ValueError here, so run_campaign trusts the config.
     """
 
-    max_deg: int
-    checks: tuple[str, ...] = tuple(CHECKS)
-    parallelism: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        checks = self.checks
+    def __new__(
+        cls,
+        max_deg: int,
+        checks: tuple[str, ...] = tuple(CHECKS),
+        parallelism: int = 1,
+    ):
         if not checks:
             raise ValueError("no checks selected")
         if "" in checks:
@@ -79,39 +93,42 @@ class CampaignConfig:
         repeated = [c for c in CHECKS if checks.count(c) > 1]
         if repeated:
             raise ValueError(f"checks named more than once: {', '.join(repeated)}")
-        if self.max_deg < 1:
+        if max_deg < 1:
             raise ValueError("max_deg must be at least 1")
-        if self.parallelism < 1:
+        if parallelism < 1:
             raise ValueError("parallelism must be at least 1")
+        return super().__new__(cls, max_deg, checks, parallelism)
 
 
-@dataclass
-class CheckStats:
+class CheckStats(
+    namedtuple(
+        "CheckStats",
+        ("passed", "failed", "vacuous", "excluded"),
+        defaults=(0, 0, 0, 0),
+    )
+):
     """Per-check outcome counts over a campaign."""
 
-    passed: int = 0
-    failed: int = 0
-    vacuous: int = 0
-    excluded: int = 0
+    __slots__ = ()
 
     @property
     def total(self) -> int:
-        return self.passed + self.failed + self.vacuous + self.excluded
+        return sum(self)
 
 
-@dataclass
-class CampaignSummary:
+class CampaignSummary(
+    namedtuple(
+        "CampaignSummary", ("total_ideals", "stats", "witnesses", "exit_code")
+    )
+):
     """Aggregated campaign outcome.
 
-    `witnesses` lists (check, ideal, witness) for every failure, in
-    enumeration order; `exit_code` is 1 exactly when a check other than
-    `conjecture` failed somewhere.
+    `stats` maps each check to its CheckStats; `witnesses` lists (check,
+    ideal, witness) for every failure, in enumeration order; `exit_code`
+    is 1 exactly when a check other than `conjecture` failed somewhere.
     """
 
-    total_ideals: int
-    stats: dict = field(default_factory=dict)
-    witnesses: tuple = ()
-    exit_code: int = 0
+    __slots__ = ()
 
 
 def _run_checks(ideal: MonomialIdeal, checks: tuple[str, ...]):
@@ -125,8 +142,8 @@ def _run_checks(ideal: MonomialIdeal, checks: tuple[str, ...]):
 
 
 def _check_share(max_deg: int, checks: tuple[str, ...], k: int, shares: int):
-    """Worker body: enumerate the ideals and check those at positions
-    k, k + shares, k + 2*shares, ... of the enumeration.
+    """Worker body: build and check the ideals at positions k,
+    k + shares, k + 2*shares, ... of the enumeration.
 
     Returns (counts, failures): a Counter of the ideals checked under
     "ideals" and of each check's outcomes under (check, CheckStats field),
@@ -137,8 +154,8 @@ def _check_share(max_deg: int, checks: tuple[str, ...], k: int, shares: int):
     failures = []
     # enumerate_artinian_lex is looked up here, not bound at import, so
     # a caller may wrap it to time each ideal.
-    ideals = enumerate(enumerate_artinian_lex(max_deg))
-    for position, ideal in islice(ideals, k, None, shares):
+    ideals = enumerate_artinian_lex(max_deg, k, shares)
+    for position, ideal in zip(count(k, shares), ideals):
         counts["ideals"] += 1
         for name, kind, verdict, witness in _run_checks(ideal, checks):
             if kind not in ("vacuous", "excluded"):
@@ -152,8 +169,8 @@ def _check_share(max_deg: int, checks: tuple[str, ...], k: int, shares: int):
 def run_campaign(config: CampaignConfig) -> CampaignSummary:
     """Run the configured checks over every enumerated ideal.
 
-    Each of K worker processes enumerates the ideals for itself and
-    checks every K-th one; the parent keeps only the counts and the
+    Each of K worker processes builds every K-th ideal of the
+    enumeration for itself and checks it; the parent keeps only the counts and the
     failures it gets back, so its memory does not grow with the degree
     bound.  A serial run checks the one share in-process.  The summary
     is deterministic and independent of parallelism: failures are put
@@ -185,7 +202,7 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     return _merge(shares, config.checks)
 
 
-def worker_count(requested: int, cpus: Optional[int]) -> int:
+def worker_count(requested: int, cpus: int | None) -> int:
     """Worker processes for a campaign that asks for `requested` on a
     host with `cpus` CPUs (None when unknown): no more than the CPUs.
     More would only take turns on them, each with its own caches."""
@@ -203,7 +220,7 @@ def _merge(shares, checks: tuple[str, ...]) -> CampaignSummary:
     # Stable: one ideal's failures stay in check order.
     failures.sort(key=itemgetter(0))
     stats = {
-        name: CheckStats(**{f.name: counts[name, f.name] for f in fields(CheckStats)})
+        name: CheckStats(*(counts[name, kind] for kind in CheckStats._fields))
         for name in checks
     }
     bad = any(

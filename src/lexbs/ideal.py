@@ -10,12 +10,11 @@ shoehorned into generator lists; operations that can collapse to either
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, groupby
 from math import comb
 from operator import attrgetter, le
-from typing import NamedTuple, Union
 
 from .monomial import (
     Monomial,
@@ -30,18 +29,32 @@ from .monomial import (
 )
 
 
-@dataclass(frozen=True)
-class UnitIdeal:
+class _Trivial:
+    """An ideal told apart from the others of its class by n alone.
+
+    A UnitIdeal never equals a ZeroIdeal of the same n: both are keys of
+    the facts cache.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.n == self.n
+
+    def __hash__(self):
+        return hash(self.n)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n})"
+
+
+class UnitIdeal(_Trivial):
     """The whole ring, (1)."""
 
-    n: int
 
-
-@dataclass(frozen=True)
-class ZeroIdeal:
+class ZeroIdeal(_Trivial):
     """The zero ideal, (0)."""
-
-    n: int
 
 
 class MonomialIdeal:
@@ -109,14 +122,11 @@ def _ideal(n: int, gens) -> MonomialIdeal:
     return I
 
 
-Ideal = Union[MonomialIdeal, UnitIdeal, ZeroIdeal]
+Ideal = MonomialIdeal | UnitIdeal | ZeroIdeal
 
-
-class Split(NamedTuple):
-    """Result of splitting L = x_1 * colon + xfree along x_1."""
-
-    colon: Union[MonomialIdeal, UnitIdeal]
-    xfree: Union[MonomialIdeal, ZeroIdeal]
+# Result of splitting L = x_1 * colon + xfree along x_1: colon is a
+# MonomialIdeal or UnitIdeal, xfree a MonomialIdeal or ZeroIdeal.
+Split = namedtuple("Split", ("colon", "xfree"))
 
 
 def minimalize(monos, n: int | None = None):

@@ -39,10 +39,10 @@ stay cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Union
 
 from .betti import ek_betti, mapping_cone_betti
 from .decompose import Decomposition, bs_decompose, split_by_length
@@ -82,10 +82,10 @@ class CheckReport:
     def __init__(
         self,
         ideal: Ideal,
-        status: Union[str, tuple[str, Callable[[], str]]],
-        verdict: Optional[str] = None,
-        witness: Optional[str] = None,
-        details: Optional[dict] = None,
+        status: str | tuple[str, Callable[[], str]],
+        verdict: str | None = None,
+        witness: str | None = None,
+        details: dict | None = None,
     ):
         self.ideal = ideal
         self._status = status
@@ -113,7 +113,7 @@ class CheckReport:
         return self.verdict == "fail"
 
 
-def _report(L, status, witness: Optional[str], details: dict) -> CheckReport:
+def _report(L, status, witness: str | None, details: dict) -> CheckReport:
     """The report of a comparison that ran: "fail" with its witness, or "pass"."""
     verdict = "pass" if witness is None else "fail"
     return CheckReport(L, status, verdict, witness, details)
@@ -259,7 +259,7 @@ def check_colon_prefix(L: MonomialIdeal) -> CheckReport:
     return _report(L, "applicable", _prefix_witness(full_L, expected), details)
 
 
-def _prefix_witness(full_L, expected) -> Optional[str]:
+def _prefix_witness(full_L, expected) -> str | None:
     """First way the full-length summands full_L fail to open with the
     shifted prefix `expected`, or None: too few summands, then a
     sequence, then an inner coefficient, then a smaller last one."""
@@ -278,7 +278,7 @@ def _prefix_witness(full_L, expected) -> Optional[str]:
     return None
 
 
-def _compare_tails(tail_a, tail_b) -> Optional[str]:
+def _compare_tails(tail_a, tail_b) -> str | None:
     """First difference between two summand lists, or None if equal."""
     if len(tail_a) != len(tail_b):
         return f"tail lengths differ: {len(tail_a)} vs {len(tail_b)}"
@@ -409,20 +409,18 @@ COLON_SOURCES = ("L:x", "L:y", "L:z")
 AUGMENTED_SOURCE = "(L,x)"
 
 
-@dataclass
-class ProvenanceReport:
+class ProvenanceReport(namedtuple("ProvenanceReport", ("ideal", "tagged", "unused"))):
     """Chain of L with each summand tagged by its sources.
 
     Full-length summands are traced to the colon ideals L:x, L:y, L:z
     (a source matches when its chain contains the summand's sequence
     lowered by one); short summands are traced to (L, x).  Summands with
-    no source are "extra".  `unused` lists source summands that induce
-    nothing in L's chain.
+    no source are "extra".  `tagged` holds (coefficient, sequence,
+    sources) triples; `unused` lists the (source, sequence) summands
+    that induce nothing in L's chain.
     """
 
-    ideal: MonomialIdeal
-    tagged: tuple[tuple[Fraction, tuple[int, ...], tuple[str, ...]], ...]
-    unused: tuple[tuple[str, tuple[int, ...]], ...]
+    __slots__ = ()
 
     def sources_of(self, seq: tuple[int, ...]) -> tuple[str, ...]:
         for _, s, srcs in self.tagged:

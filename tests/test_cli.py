@@ -658,6 +658,29 @@ def test_import_loads_no_process_pool():
     assert result.stdout == "[]\n"
 
 
+def test_import_adds_only_lexbs():
+    # Every process of the CLI pays for this import.  Past lexbs's own
+    # stdlib dependencies it loads nothing: dataclasses alone pulled in
+    # inspect, ast, dis and tokenize.  The baseline is subtracted, so a
+    # stdlib that loads more for these modules does not fail the test.
+    # Every lexbs module starts with `from __future__ import annotations`,
+    # which imports __future__.
+    probe = (
+        "import sys\n"
+        "import __future__, argparse, fractions, collections, functools\n"
+        "import itertools, math, operator, os\n"
+        "before = set(sys.modules)\n"
+        "import lexbs.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    result = _python("-S", "-c", probe)
+    assert result.returncode == 0, result.stderr
+    added = result.stdout.split()
+    assert added and all(
+        name == "lexbs" or name.startswith("lexbs.") for name in added
+    ), added
+
+
 @pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="needs RLIMIT_AS enforced"
 )

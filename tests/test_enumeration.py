@@ -76,6 +76,17 @@ def test_enumeration_deterministic():
     assert tuple(enumerate_artinian_lex(3)) == tuple(enumerate_artinian_lex(3))
 
 
+@pytest.mark.parametrize("shares", [2, 3])
+def test_share_enumerates_its_own_positions(shares):
+    # A share skips the other shares' ideals inside the recursion; it must
+    # still yield exactly every shares-th ideal of the full order.
+    full = tuple(enumerate_artinian_lex(6))
+    parts = [tuple(enumerate_artinian_lex(6, k, shares)) for k in range(shares)]
+    for k, part in enumerate(parts):
+        assert part == tuple(islice(full, k, None, shares))
+    assert sum(map(len, parts)) == len(full) == 876
+
+
 def test_brute_force_oracle_degree_three():
     # Take every prefix combination of the degree-1, 2, 3 monomial lists,
     # minimalize, and keep the Artinian lex ideals generated in degrees
