@@ -5,7 +5,7 @@ go to stdout, diagnostics to stderr, and all rational output is exact
 (never decimal).  The ideal grammar accepted everywhere:
 
     ideal := '(' mono (',' mono)* ')' | mono (',' mono)*
-    mono  := term ('*'? term)*
+    mono  := '1' | term ('*'? term)*
     term  := var exponent?
 
 With three or fewer variables the variables are letters among x, y, z
@@ -127,6 +127,12 @@ def _parse_exponent(sc: _Scanner, n: int) -> int:
 
 def _parse_monomial(sc: _Scanner, n: int) -> Monomial:
     exps = [0] * n
+    sc.skip_ws()
+    if sc.peek() in _DIGITS:  # a number is a whole generator: "(1)"
+        start = sc.pos
+        if sc.read_int() != 1:
+            raise sc.error("the only number that is a generator is 1", start)
+        return Monomial(exps)
     saw_term = False
     while True:
         sc.skip_ws()
@@ -149,8 +155,8 @@ def _parse_monomial(sc: _Scanner, n: int) -> Monomial:
 def parse_ideal(text: str, n: int = 3):
     """Parse the ideal grammar; returns MonomialIdeal or UnitIdeal.
 
-    A generator with all exponents zero (say "x^0") collapses to 1 and
-    makes the unit ideal; callers decide how loudly to complain.
+    A generator 1 or x^0 makes the unit ideal, so format_ideal's "(1)"
+    parses back; callers decide how loudly to complain.
     """
     if n < 1:
         raise ValueError("need at least one variable")

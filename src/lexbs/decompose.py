@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter, lt
+from operator import lt
 
 from .betti import BettiDiagram
 from .pure import NotDecomposable, pure_diagram, top_degree_sequence
@@ -61,31 +61,30 @@ def bs_decompose(B: BettiDiagram) -> Decomposition:
     entry that becomes an end is scaled by s; and s comes down by the gcd
     of the ends alone.
     """
-    # ints carry numerator and denominator already
-    exact = sorted(
-        ((key, v if isinstance(v, int) else Fraction(v)) for key, v in B.items()),
-        reverse=True,
-    )
-    if not exact:
+    entries = B.entries
+    if not entries:
         raise NotDecomposable("cannot decompose an empty diagram")
-    den = lcm(*(v.denominator for _, v in exact))
+    den = 1
+    if not all(type(v) is int for v in entries.values()):
+        exact = {key: Fraction(v) for key, v in entries.items()}
+        den = lcm(*(v.denominator for v in exact.values()))
+        entries = {k: v.numerator * (den // v.denominator) for k, v in exact.items()}
     s = 1
-    # Descending: the first entry lies in the last column, the last in the
-    # first.
-    lo = exact[-1][0][0]
-    width = exact[0][0][0] - lo + 1
+    # Descending keys: the first lies in the last column, the last in the first.
+    keys = sorted(entries, reverse=True)
+    lo = keys[-1][0]
     # degs[k] and nums[k]: column lo + k, internal degrees descending.
-    degs: list[list[int]] = [[] for _ in range(width)]
-    nums: list[list[int]] = [[] for _ in range(width)]
-    for (i, j), v in exact:
-        degs[i - lo].append(j)
-        nums[i - lo].append(v.numerator * (den // v.denominator))
+    degs: list[list[int]] = [[] for _ in range(keys[0][0] - lo + 1)]
+    nums: list[list[int]] = [[] for _ in degs]
+    for key in keys:
+        degs[key[0] - lo].append(key[1])
+        nums[key[0] - lo].append(entries[key])
     summands: list[tuple[Fraction, tuple[int, ...]]] = []
     # Entries stay positive, so alpha > 0; the minimizing end drops to
     # exactly zero and is deleted, so every step shrinks the remainder and
     # the loop ends with it empty.
     while degs:
-        seq = tuple(map(itemgetter(-1), filter(None, degs)))
+        seq = tuple([col[-1] for col in degs if col])
         # Outside the cone unless the columns are 0..p-1, none empty, and
         # their ends strictly increase.
         if lo or len(seq) < len(degs) or not all(map(lt, seq, seq[1:])):
@@ -123,7 +122,7 @@ def bs_decompose(B: BettiDiagram) -> Decomposition:
             degs.pop()
             nums.pop()
         if s != 1:
-            g = gcd(s, *map(itemgetter(-1), filter(None, nums)))
+            g = gcd(s, *[col[-1] for col in nums if col])
             if g != 1:
                 s //= g
                 for col in nums:

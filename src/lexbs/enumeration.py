@@ -44,22 +44,25 @@ def enumerate_artinian_lex(
         for d in range(max_deg)
     ]
     mine = cycle([i == k for i in range(shares)])
+    yield from _walk(masters, shadows, mine, 1, 0, [])
 
-    def rec(d: int, prev_t: int, gens: list) -> Iterator[MonomialIdeal]:
-        master = masters[d]
-        lower = shadows[d - 1][prev_t]
-        if d == max_deg:
-            # Minimal by construction: no slice meets the shadow below it.
-            if next(mine):
-                yield _ideal(3, [*gens, *master[lower:]])
-            return
-        for t in range(lower, len(master) + 1):
-            new_gens = master[lower:t]
-            gens.extend(new_gens)
-            yield from rec(d + 1, t, gens)
-            del gens[len(gens) - len(new_gens) :]
 
-    yield from rec(1, 0, [])
+def _walk(masters, shadows, mine, d: int, prev_t: int, gens: list):
+    """The ideals with generators gens below degree d, whose degree d - 1
+    piece holds the first prev_t monomials.  Not a closure calling itself:
+    that would be a reference cycle, which only the cyclic collector frees."""
+    master = masters[d]
+    lower = shadows[d - 1][prev_t]
+    if d == len(masters) - 1:
+        # Minimal by construction: no slice meets the shadow below it.
+        if next(mine):
+            yield _ideal(3, [*gens, *master[lower:]])
+        return
+    for t in range(lower, len(master) + 1):
+        new_gens = master[lower:t]
+        gens.extend(new_gens)
+        yield from _walk(masters, shadows, mine, d + 1, t, gens)
+        del gens[len(gens) - len(new_gens) :]
 
 
 class CampaignConfig(
@@ -150,19 +153,28 @@ def _check_share(max_deg: int, checks: tuple[str, ...], k: int, shares: int):
     and each failure as (position, check, ideal repr, witness).  No ideal
     is sent to the worker, and only counts and failures come back.
     """
+    import gc  # here: a single-ideal command never needs it
     counts = Counter()
     failures = []
     # enumerate_artinian_lex is looked up here, not bound at import, so
     # a caller may wrap it to time each ideal.
     ideals = enumerate_artinian_lex(max_deg, k, shares)
-    for position, ideal in zip(count(k, shares), ideals):
-        counts["ideals"] += 1
-        for name, kind, verdict, witness in _run_checks(ideal, checks):
-            if kind not in ("vacuous", "excluded"):
-                kind = "passed" if verdict == "pass" else "failed"
-            counts[name, kind] += 1
-            if verdict == "fail":
-                failures.append((position, name, repr(ideal), witness or ""))
+    # No check makes a reference cycle, so the cyclic collector would only
+    # walk the facts cache again and again; it is paused meanwhile.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for position, ideal in zip(count(k, shares), ideals):
+            counts["ideals"] += 1
+            for name, kind, verdict, witness in _run_checks(ideal, checks):
+                if kind not in ("vacuous", "excluded"):
+                    kind = "passed" if verdict == "pass" else "failed"
+                counts[name, kind] += 1
+                if verdict == "fail":
+                    failures.append((position, name, repr(ideal), witness or ""))
+    finally:
+        if collecting:
+            gc.enable()
     return counts, failures
 
 

@@ -24,17 +24,17 @@ to its check.  The checks:
 - check_split_identities: structural facts about the splitting
   L = x_1*(L : x_1) + J used throughout.
 
-The checks read what they derive from an ideal (the split, the colons,
-(L, x_1), the family test, the Betti diagram and its greedy chain) from
-its IdealFacts, which computes each item at most once.  A campaign meets
-each ideal again as a different but equal object, the colon or (L, x_1)
-of others, so facts_of finds facts by value in a bounded cache, the only
-one in this module, and returns those of the first ideal met equal to its
-argument; chain_of reads the chain from there.  The ideals the facts
-derive are the ideals of their own facts, so an ideal's lex and stability
-answers (kept on the ideal; see is_lex_segment and is_stable), its
-diagram and its chain are decided once per distinct ideal while its facts
-stay cached.
+The checks read what they derive from an ideal (the colons, (L, x_1),
+J, the family test, the Betti diagram, its greedy chain and that chain
+cut into full-length and short summands) from its IdealFacts, which
+computes each item at most once.  A campaign meets each ideal again as a
+different but equal object, the colon or (L, x_1) of others, so facts_of
+finds facts by value in a bounded cache, the only one in this module; the
+facts link those of the colons, (L, x_1) and J, found once, and chain_of
+reads a chain from there.  So an ideal's lex and stability answers (kept
+on the ideal; see is_lex_segment and is_stable), its diagram, chain and
+cut are decided once per distinct ideal while its facts stay cached or
+linked.
 """
 
 from __future__ import annotations
@@ -42,14 +42,13 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .betti import ek_betti, mapping_cone_betti
 from .decompose import Decomposition, bs_decompose, split_by_length
 from .ideal import (
     Ideal,
     MonomialIdeal,
-    Split,
     UnitIdeal,
     ZeroIdeal,
     add_variable,
@@ -121,69 +120,89 @@ def _report(L, status, witness: str | None, details: dict) -> CheckReport:
 
 class IdealFacts:
     """What the checks derive from one ideal, each item computed on first
-    use and then kept.
+    use and kept in its slot (`_chain` for `chain`, None until then).
 
     Take them from facts_of: `ideal` is then the first ideal met equal to
-    the one asked for, and the split, the colons and (L, x_1) are the
-    ideals of their own facts.  The items call the module-level functions
-    at that moment, so a function rebound here (a tracer, a fault
-    injected by a test) is the one used.
+    the one asked for, and the colons, (L, x_1) and J are linked as their
+    own facts.  The items call the module-level functions at that moment,
+    so a function rebound here (a tracer, a fault injected by a test) is
+    the one used.
     """
+
+    __slots__ = ("ideal", "_colons", "_artinian", "_xfree", "_augmented",
+                 "_diagram", "_chain", "_cut", "_family")
 
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
-        self._colons: dict[int, Ideal] = {}
+        self._colons: dict[int, IdealFacts] = {}
+        self._artinian = self._xfree = self._augmented = None
+        self._diagram = self._chain = self._cut = self._family = None
 
-    @cached_property
+    @property
     def artinian(self) -> bool:
-        return is_artinian(self.ideal)
+        if self._artinian is None:
+            self._artinian = is_artinian(self.ideal)
+        return self._artinian
 
-    @cached_property
-    def split(self):
-        """L = x_1 * (L : x_1) + J, for lex L in two or more variables:
-        the colon by x_1 and the projection of the x_1-free generators."""
-        return Split(self.colon(1), facts_of(xfree_part(self.ideal)).ideal)
+    def colon(self, i: int) -> IdealFacts:
+        """The facts of (L : x_i)."""
+        facts = self._colons.get(i)
+        if facts is None:
+            facts = self._colons[i] = facts_of(colon_variable(self.ideal, i))
+        return facts
 
-    def colon(self, i: int):
-        """(L : x_i)."""
-        if i not in self._colons:
-            self._colons[i] = facts_of(colon_variable(self.ideal, i)).ideal
-        return self._colons[i]
+    @property
+    def xfree(self) -> IdealFacts:
+        """The facts of J, the x_1-free generators in the last n-1 variables."""
+        if self._xfree is None:
+            self._xfree = facts_of(xfree_part(self.ideal))
+        return self._xfree
 
-    @cached_property
-    def augmented(self):
-        """(L, x_1)."""
-        return facts_of(add_variable(self.ideal, 1)).ideal
+    @property
+    def augmented(self) -> IdealFacts:
+        """The facts of (L, x_1)."""
+        if self._augmented is None:
+            self._augmented = facts_of(add_variable(self.ideal, 1))
+        return self._augmented
 
-    @cached_property
+    @property
     def diagram(self):
         """Betti diagram of the ideal."""
-        return ek_betti(self.ideal)
+        if self._diagram is None:
+            self._diagram = ek_betti(self.ideal)
+        return self._diagram
 
-    @cached_property
+    @property
     def chain(self) -> Decomposition:
         """Greedy chain of the Betti diagram; non-stable input raises
         ek_betti's ValueError."""
-        return bs_decompose(self.diagram)
+        if self._chain is None:
+            self._chain = bs_decompose(self.diagram)
+        return self._chain
 
-    @cached_property
+    @property
+    def cut(self) -> tuple[tuple, tuple]:
+        """The chain's full-length summands and its shorter ones."""
+        if self._cut is None:
+            self._cut = split_by_length(self.chain, self.ideal.n)
+        return self._cut
+
+    @property
     def family(self):
         """(t, k) when L is in the family x*(x, y, z^t) + J that
         classify_excluded_family describes, and False otherwise."""
-        return self._family(word=False)
+        if self._family is None:
+            self._family = self.family_reason(word=False)
+        return self._family
 
-    def family_reason(self) -> str:
-        """Why L is not in the family, in classify_excluded_family's words."""
-        return self._family(word=True)
-
-    def _family(self, word: bool):
-        """(t, k) for a member of the family; for any other L, the reason
-        why not when word is true and False when not, so that only a
-        reader of the reason pays for its text."""
+    def family_reason(self, word: bool = True):
+        """Why L is not in the family, in classify_excluded_family's words:
+        (t, k) for a member; for any other L, the reason when word is true
+        and False when not, so that only a reader of it pays for its text."""
         L = self.ideal
         if L.n != 3:
             return word and "not a 3-variable ideal"
-        colon, xfree = self.split
+        colon, xfree = self.colon(1).ideal, self.xfree.ideal
         if isinstance(colon, UnitIdeal):
             return word and "x is a generator, so the colon by x is the unit ideal"
         if isinstance(xfree, ZeroIdeal):
@@ -239,20 +258,16 @@ def check_colon_prefix(L: MonomialIdeal) -> CheckReport:
             L, "excluded(no pure power of some variable: quotient not Artinian)"
         )
     colon = f.colon(1)
-    if isinstance(colon, UnitIdeal):
+    if isinstance(colon.ideal, UnitIdeal):
         return CheckReport(L, "vacuous(colon by x_1 is the unit ideal)")
-    n = L.n
-    dec_colon = chain_of(colon)
-    dec_L = chain_of(L)
-    full_colon, _ = split_by_length(dec_colon, n)
-    full_L, _ = split_by_length(dec_L, n)
-    expected = tuple((coeff, _shift_seq(seq)) for coeff, seq in full_colon)
+    full_L = f.cut[0]
+    expected = tuple((coeff, _shift_seq(seq)) for coeff, seq in colon.cut[0])
     t1 = len(expected)
     details = {
         "prefix_length": t1,
-        "colon": colon,
-        "colon_chain": dec_colon,
-        "ideal_chain": dec_L,
+        "colon": colon.ideal,
+        "colon_chain": colon.chain,
+        "ideal_chain": f.chain,
         "shifted_prefix": expected,
         "ideal_prefix": full_L[:t1],
     }
@@ -288,13 +303,11 @@ def _compare_tails(tail_a, tail_b) -> str | None:
     return None
 
 
-def _tail_report(L: MonomialIdeal, status: str) -> CheckReport:
+def _tail_report(L: MonomialIdeal, f: IdealFacts, status: str) -> CheckReport:
     """Shared tail comparison between the chains of L and (L, x_1)."""
-    n = L.n
-    Lx = facts_of(L).augmented
-    _, tail_L = split_by_length(chain_of(L), n)
-    _, tail_Lx = split_by_length(chain_of(Lx), n)
-    details = {"tail": tail_L, "augmented_tail": tail_Lx, "augmented": Lx}
+    Lx = f.augmented
+    tail_L, tail_Lx = f.cut[1], Lx.cut[1]
+    details = {"tail": tail_L, "augmented_tail": tail_Lx, "augmented": Lx.ideal}
     return _report(L, status, _compare_tails(tail_L, tail_Lx), details)
 
 
@@ -321,17 +334,17 @@ def check_tail_agreement(L: MonomialIdeal) -> CheckReport:
         return CheckReport(L, "excluded(not a lex-segment ideal)")
     if not f.artinian:
         return CheckReport(L, "vacuous(quotient not Artinian)")
-    if isinstance(f.colon(1), UnitIdeal):
+    if isinstance(f.colon(1).ideal, UnitIdeal):
         # x_1 is in L, so (L, x_1) = L and the two tails are the same list.
         return _tail_report(
-            L, "vacuous(L already contains x_1, so L = (L, x_1))"
+            L, f, "vacuous(L already contains x_1, so L = (L, x_1))"
         )
     if f.family:
         t, k = f.family
         status = f"excluded(family x*(x, y, z^{t}) + J with k = {k})"
     else:
         status = "applicable"
-    return _tail_report(L, status)
+    return _tail_report(L, f, status)
 
 
 def check_excluded_family_tails(L: MonomialIdeal) -> CheckReport:
@@ -345,7 +358,7 @@ def check_excluded_family_tails(L: MonomialIdeal) -> CheckReport:
         return CheckReport(
             L, ("excluded", lambda: f"wrong-family: {f.family_reason()}")
         )
-    return _tail_report(L, "applicable")
+    return _tail_report(L, f, "applicable")
 
 
 def family_ideal(t: int, s: int) -> MonomialIdeal:
@@ -441,22 +454,14 @@ def explain_chain(L: MonomialIdeal) -> ProvenanceReport:
         raise ValueError("provenance annotation needs a lex-segment ideal")
     if not f.artinian:
         raise ValueError("provenance annotation needs an Artinian quotient")
-    chains = {}
+    # A unit colon has no chain and induces nothing.
+    source_full = {}
     for idx, name in enumerate(COLON_SOURCES, start=1):
         c = f.colon(idx)
-        chains[name] = (
-            Decomposition(()) if isinstance(c, UnitIdeal) else chain_of(c)
-        )
-    chains[AUGMENTED_SOURCE] = chain_of(f.augmented)
-    # Every chain here belongs to an ideal in three variables, so its
-    # full-length summands are a prefix and its short ones the suffix.
-    source_full = {
-        name: tuple(seq for _, seq in split_by_length(chains[name], 3)[0])
-        for name in COLON_SOURCES
-    }
-    _, short_lx = split_by_length(chains[AUGMENTED_SOURCE], 3)
-    source_short = tuple(seq for _, seq in short_lx)
-    full, short = split_by_length(chain_of(L), 3)
+        full_c = () if isinstance(c.ideal, UnitIdeal) else c.cut[0]
+        source_full[name] = tuple(seq for _, seq in full_c)
+    source_short = tuple(seq for _, seq in f.augmented.cut[1])
+    full, short = f.cut
 
     tagged = [
         (
@@ -499,14 +504,12 @@ def check_cone_assembly(L: MonomialIdeal) -> CheckReport:
         return CheckReport(L, "vacuous(not a lex-segment ideal)")
     if L.n < 2:
         return CheckReport(L, "vacuous(one variable: nothing to split)")
-    colon, xfree = f.split
-    if isinstance(colon, UnitIdeal):
+    colon, xfree = f.colon(1), f.xfree
+    if isinstance(colon.ideal, UnitIdeal):
         return CheckReport(L, "vacuous(colon by x_1 is the unit ideal)")
-    if isinstance(xfree, ZeroIdeal):
+    if isinstance(xfree.ideal, ZeroIdeal):
         return CheckReport(L, "vacuous(no x_1-free generators)")
-    cone = mapping_cone_betti(
-        facts_of(colon).diagram, facts_of(xfree).diagram
-    )
+    cone = mapping_cone_betti(colon.diagram, xfree.diagram)
     direct = f.diagram
     # Both diagrams have L.n, so they differ exactly where an entry does;
     # only then are the keys scanned for the first difference.
@@ -567,14 +570,14 @@ def check_split_identities(L: MonomialIdeal) -> CheckReport:
     failures: list[str] = []
     n = L.n
     for i in range(1, n + 1):
-        c = f.colon(i)
+        c = f.colon(i).ideal
         if not is_lex_segment(c):
             failures.append(
                 f"(L : x_{i}) = {format_ideal(c)} is not a lex segment"
             )
     if not is_stable(f.ideal):
         failures.append("lex-segment ideal is not stable")
-    colon, xfree = f.split
+    colon, xfree = f.colon(1).ideal, f.xfree.ideal
     # Exponent tuples of x_1 * G(L : x_1), then of G(J); a failure
     # witness lists their monomials as a set built in this order.
     if isinstance(colon, UnitIdeal):
@@ -612,14 +615,14 @@ def check_split_identities(L: MonomialIdeal) -> CheckReport:
                     f"not above max degree {gap_hi} of the colon"
                 )
         if xfree.n == 2:
-            failures.extend(_two_variable_column_identities(xfree))
+            failures.extend(_two_variable_column_identities(f.xfree))
     details = {"failures": tuple(failures)}
     return _report(L, "applicable", "; ".join(failures) or None, details)
 
 
-def _two_variable_column_identities(J: MonomialIdeal) -> list[str]:
-    """Betti identities of a lex ideal J in two variables, read from its
-    Betti diagram c.
+def _two_variable_column_identities(facts: IdealFacts) -> list[str]:
+    """Betti identities of a lex ideal J in two variables, read from the
+    Betti diagram c in its facts.
 
     With k the least generator degree: c_{0,k} = c_{1,k+1} + 1, and
     c_{0,j} = c_{1,j+1} for every j > k (only the pure power of the
@@ -627,7 +630,7 @@ def _two_variable_column_identities(J: MonomialIdeal) -> list[str]:
     (c_{0,k} = k+1), the ideal is the whole power, so c_{1,k+1} = k and
     nothing lives above degree k.
     """
-    c = facts_of(J).diagram
+    J, c = facts.ideal, facts.diagram
     k = min_gen_degree(J)
     problems = []
     if c.get(0, k) != c.get(1, k + 1) + 1:

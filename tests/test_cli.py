@@ -127,8 +127,13 @@ def test_number_longer_than_int_converts(capsys):
 
 
 def test_parse_bare_number():
-    with pytest.raises(IdealSyntaxError):
-        parse_ideal("1")
+    # 1 is a whole generator (test_unit_ideal_round_trips); no other
+    # number is, and the error names the number, not a variable.
+    for text, offset in (("2", 0), ("x, 12", 3), ("1x", 1)):
+        with pytest.raises(IdealSyntaxError) as err:
+            parse_ideal(text)
+        assert err.value.offset == offset
+        assert "variable" not in str(err.value)
 
 
 def test_parse_variable_out_of_range():
@@ -138,6 +143,16 @@ def test_parse_variable_out_of_range():
 
 def test_parse_unit_generator():
     assert parse_ideal("x^0") == UnitIdeal(3)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_unit_ideal_round_trips(capsys, n):
+    text = format_ideal(UnitIdeal(n))
+    assert text == "(1)"
+    assert parse_ideal(text, n) == UnitIdeal(n)
+    code, out, err = run(capsys, "betti", text, "--vars", str(n))
+    assert (code, out) == (2, "")
+    assert err.startswith("warning: a generator reduces to 1")
 
 
 def test_round_trip_through_format():

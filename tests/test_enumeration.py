@@ -10,6 +10,7 @@ description, without the shadow-size shortcut.
 """
 
 import faulthandler
+import gc
 import multiprocessing
 import os
 import signal
@@ -223,6 +224,40 @@ def test_campaign_releases_workers_when_a_check_raises(monkeypatch):
     # Share 0 alone sleeps about 10 s; the fault must not wait for it.
     assert time.monotonic() - start < 5
     assert multiprocessing.active_children() == []
+
+
+@contextmanager
+def _collector(enabled):
+    """Run the block with the cyclic collector on or off, and restore it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_campaign_makes_no_cyclic_garbage():
+    # A share pauses the cyclic collector, which is safe only while no
+    # check and no enumerator leaves a reference cycle behind.
+    gc.collect()
+    with _collector(False):
+        run_campaign(CampaignConfig(max_deg=5))
+        assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_campaign_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
+    def fault():
+        raise RuntimeError("injected")
+
+    _fault_at_second_ideal(monkeypatch, 3, fault)
+    with _collector(enabled):
+        run_campaign(CampaignConfig(max_deg=3))
+        assert gc.isenabled() is enabled
+        with pytest.raises(RuntimeError, match="injected"):
+            run_campaign(CampaignConfig(max_deg=3, checks=("injected",)))
+        assert gc.isenabled() is enabled
 
 
 @needs_two_cpus

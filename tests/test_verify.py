@@ -356,11 +356,11 @@ def test_split_identities_catch_a_wrong_split(monkeypatch):
 # fabricated chains and diagrams and pin the first witness each reports.
 
 
-def _with_chains(monkeypatch, chains):
-    """Make verify.chain_of answer from `chains`, a map ideal -> summands."""
-    monkeypatch.setattr(
-        verify, "chain_of", lambda I: Decomposition(tuple(chains[I]))
-    )
+def _with_chains(chains):
+    """Fill the chain of each ideal's facts from `chains`, a map ideal ->
+    summands, before any check reads it."""
+    for I, summands in chains.items():
+        verify.facts_of(I)._chain = Decomposition(tuple(summands))
 
 
 def _outcome(report):
@@ -396,13 +396,9 @@ def _outcome(report):
         ),
     ],
 )
-def test_colon_prefix_failure_witnesses(
-    monkeypatch, colon_chain, ideal_chain, witness
-):
+def test_colon_prefix_failure_witnesses(colon_chain, ideal_chain, witness):
     L = splice8()
-    _with_chains(
-        monkeypatch, {colon_variable(L, 1): colon_chain, L: ideal_chain}
-    )
+    _with_chains({colon_variable(L, 1): colon_chain, L: ideal_chain})
     report = check_colon_prefix(L)
     assert _outcome(report) == ("applicable", "fail", witness)
     assert report.details["prefix_length"] == len(colon_chain)
@@ -421,7 +417,7 @@ def test_colon_prefix_failure_witnesses(
         ),
     ],
 )
-def test_tail_failure_witnesses(monkeypatch, augmented_tail, witness):
+def test_tail_failure_witnesses(augmented_tail, witness):
     head = ((F(1), (2, 4, 5)),)
     tail = ((F(8), (8, 9)), (F(1), (8,)))
     cases = (
@@ -434,10 +430,7 @@ def test_tail_failure_witnesses(monkeypatch, augmented_tail, witness):
         (parse_ideal(FAMILY26_TEXT), check_excluded_family_tails, "applicable"),
     )
     for L, check, status in cases:
-        _with_chains(
-            monkeypatch,
-            {L: head + tail, add_variable(L, 1): head + augmented_tail},
-        )
+        _with_chains({L: head + tail, add_variable(L, 1): head + augmented_tail})
         report = check(L)
         assert _outcome(report) == (status, "fail", witness)
         assert report.details["augmented_tail"] == augmented_tail
@@ -540,25 +533,26 @@ def test_lex_and_stability_decided_once_per_distinct_ideal(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     # The chain is one of the facts, so it is peeled once per distinct
-    # ideal that chain_of is asked for.
-    asked = set()
-    peels = 0
+    # ideal whose chain a check reads.  A diagram is told apart by the
+    # ideal ek_betti built it for.
+    owners = {}
+    peeled = Counter()
 
-    def recording(I, chain_of=verify.chain_of):
-        asked.add(I)
-        return chain_of(I)
+    def owned(I, work=verify.ek_betti):
+        B = work(I)
+        owners[id(B)] = (B, I)
+        return B
 
     def peel(B, work=bs_decompose):
-        nonlocal peels
-        peels += 1
+        peeled[owners[id(B)][1]] += 1
         return work(B)
 
-    monkeypatch.setattr(verify, "chain_of", recording)
+    monkeypatch.setattr(verify, "ek_betti", owned)
     monkeypatch.setattr(verify, "bs_decompose", peel)
     run_campaign(CampaignConfig(max_deg=5))
     monkeypatch.undo()  # split_x below decides lex on fresh ideals
 
-    assert asked and peels == len(asked)
+    assert peeled == Counter(_chains_read(5))
     assert verify.chain_of.cache_info() == verify.facts_of.cache_info()
 
     # The ideals a campaign meets: its own, their colons, (L, x_1) and J.
@@ -572,6 +566,32 @@ def test_lex_and_stability_decided_once_per_distinct_ideal(monkeypatch):
         assert counter, name
         assert set(counter) <= met, name
         assert max(counter.values()) == 1, (name, counter.most_common(1))
+
+
+def _chains_read(max_deg):
+    """The distinct ideals whose chains a campaign's checks read: each
+    ideal, its (L, x_1), and its (L : x_1) unless that is the unit ideal."""
+    read = set()
+    for L in enumerate_artinian_lex(max_deg):
+        read.add(L)
+        read.add(add_variable(L, 1))
+        colon = colon_variable(L, 1)
+        if isinstance(colon, MonomialIdeal):
+            read.add(colon)
+    return read
+
+
+def test_campaign_cuts_each_chain_once(monkeypatch):
+    # The cut into full-length and short summands is one of the facts.
+    cut = []
+
+    def counted(D, length, work=verify.split_by_length):
+        cut.append(D)
+        return work(D, length)
+
+    monkeypatch.setattr(verify, "split_by_length", counted)
+    run_campaign(CampaignConfig(max_deg=5))
+    assert len({id(D) for D in cut}) == len(cut) == len(_chains_read(5))
 
 
 def test_campaign_words_no_status(monkeypatch):
