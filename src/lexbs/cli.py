@@ -20,6 +20,7 @@ power-ideal y,z 8` prints the expanded generator list of (y, z)^8.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -521,7 +522,19 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`lexbs ... | head -1`).  Point it
+        # at the null device, so the flush at exit writes nowhere, and exit
+        # with the shell's status for death by SIGPIPE.
+        try:
+            fd = sys.stdout.fileno()  # an in-process StringIO has none
+        except (AttributeError, OSError):
+            return 141
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 141
     except IdealSyntaxError as exc:
         _diag(f"error: {exc}")
         return 2

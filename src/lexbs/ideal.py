@@ -26,6 +26,7 @@ from .monomial import (
     glex_unrank,
     max_index,
     monomials_of_degree,
+    quotients,
 )
 
 
@@ -312,7 +313,8 @@ def stable_violation(I: MonomialIdeal):
     m = m(g) and g_m <= v_m, so the generators are kept by their
     exponents before m(g).  The prefixes of the exchange that end before
     x_i are proper prefixes of u, so no generator of a minimal set; the
-    lookups run from x_i to x_{m(u)}.
+    lookups run from x_i to x_{m(u)}, each on the prefix of the one
+    before with one more exponent.
     """
     gens = I.gens
     tops: dict[tuple[int, ...], int] = {}
@@ -327,15 +329,18 @@ def stable_violation(I: MonomialIdeal):
     get = tops.get
     for g, m in zip(gens, ends):
         e = g.exponents
+        last = e[m - 1] - 1
         for i in range(1, m):
-            v = list(e)
-            v[m - 1] -= 1
-            v[i - 1] += 1
-            for k in range(i - 1, m):
-                c = get(tuple(v[:k]))
-                if c is not None and c <= v[k]:
+            p = e[: i - 1]
+            x = e[i - 1] + 1  # the exchange's exponent after p
+            for k in range(i, m + 1):
+                c = get(p)
+                if c is not None and c <= x:
                     break
+                p += (x,)
+                x = e[k] if k < m - 1 else last
             else:
+                v = p + e[m:]
                 if not _divisible(v, gens):
                     return (g, i, Monomial(v))
     return None
@@ -375,24 +380,23 @@ def colon_variable(I: MonomialIdeal, i: int):
     n = I.n
     check_variable_index(i, n)
     k = i - 1
-    quotients: list[Monomial] = []
+    qs: list[Monomial] = []
     free_quotients: list[Monomial] = []
     free: list[Monomial] = []
     for g in I.gens:
-        e = g.exponents
-        c = e[k]
+        c = g.exponents[k]
         if c:
             if g.degree == 1:
                 return UnitIdeal(n)
-            q = _monomial(e[:k] + (c - 1,) + e[k + 1 :], g.degree - 1)
-            quotients.append(q)
+            q = quotients(g)[k]
+            qs.append(q)
             if c == 1:
                 free_quotients.append(q)
         else:
             free.append(g)
     if free_quotients:
         free = [g for g in free if not _divisible(g.exponents, free_quotients)]
-    return _ideal(n, quotients + free)
+    return _ideal(n, qs + free)
 
 
 def add_variable(I: MonomialIdeal, i: int):

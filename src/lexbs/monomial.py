@@ -21,10 +21,11 @@ class Monomial:
 
     The number of variables is the length of the tuple.  Operations that
     combine two monomials require equal lengths and raise ValueError on a
-    mismatch rather than guessing an embedding.
+    mismatch rather than guessing an embedding.  ``_quotients`` keeps
+    :func:`quotients`; equality, hash, repr and pickling ignore it.
     """
 
-    __slots__ = ("exponents", "degree")
+    __slots__ = ("exponents", "degree", "_quotients")
 
     def __init__(self, exponents):
         exps = tuple(int(e) for e in exponents)
@@ -34,6 +35,7 @@ class Monomial:
             raise ValueError(f"negative exponent in {exps!r}")
         self.exponents = exps
         self.degree = sum(exps)
+        self._quotients = None
 
     @property
     def nvars(self) -> int:
@@ -48,6 +50,9 @@ class Monomial:
     def __repr__(self):
         return f"Monomial({self.exponents!r})"
 
+    def __reduce__(self):
+        return _monomial, (self.exponents, self.degree)
+
 
 def _monomial(exponents: tuple[int, ...], degree: int) -> Monomial:
     """The Monomial of an exponent tuple of nonnegative ints summing to
@@ -56,7 +61,20 @@ def _monomial(exponents: tuple[int, ...], degree: int) -> Monomial:
     u = object.__new__(Monomial)
     u.exponents = exponents
     u.degree = degree
+    u._quotients = None
     return u
+
+
+def quotients(u: Monomial) -> tuple:
+    """u / x_i at index i - 1 where x_i divides u and None elsewhere,
+    built on the first call for u and kept on it."""
+    if u._quotients is None:
+        e, d = u.exponents, u.degree - 1
+        u._quotients = tuple(
+            _monomial(e[:k] + (c - 1,) + e[k + 1 :], d) if c else None
+            for k, c in enumerate(e)
+        )
+    return u._quotients
 
 
 def one(n: int) -> Monomial:

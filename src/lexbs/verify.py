@@ -207,15 +207,15 @@ class IdealFacts:
             return word and "x is a generator, so the colon by x is the unit ideal"
         if isinstance(xfree, ZeroIdeal):
             return word and "splitting is degenerate"
-        # Lex-descending, (x, y, z^t) reads x, y, z^t, and whatever
-        # follows x and y in that order is free of both.
-        shape = sorted((g.exponents for g in colon.gens), reverse=True)
-        if len(shape) != 3 or shape[:2] != [(1, 0, 0), (0, 1, 0)]:
+        # The generators are minimal, so with x and y among three the
+        # third is free of both: a pure power z^t.
+        key = colon._key
+        if len(key) != 3 or (1, 0, 0) not in key or (0, 1, 0) not in key:
             return word and (
                 f"colon by x is {format_ideal(colon)}, "
                 "not of the form (x, y, z^t)"
             )
-        t = shape[2][2]
+        t = max(e[2] for e in key)
         k = min_gen_degree(xfree)
         if len(xfree.gens) == k + 1 and max_gen_degree(xfree) == k:
             return word and f"J is the full power (y, z)^{k}"

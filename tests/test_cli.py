@@ -627,17 +627,46 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert build() is not build()
 
 
-def _python(*args):
-    """Run this interpreter with lexbs importable from its source tree."""
+def _env():
+    """This process's environment, with lexbs importable from its source
+    tree."""
     src = os.path.dirname(os.path.dirname(lexbs.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _python(*args):
+    """Run this interpreter with lexbs importable from its source tree."""
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_env(),
         timeout=60,
     )
+
+
+def test_reader_closing_stdout_is_a_quiet_exit():
+    # `lexbs ... | head -1`.  The one 78 KB line does not fit in a 64 KB
+    # pipe buffer, so the write is still blocked when the reader closes
+    # after one byte, and the pipe breaks on every run.  The child keeps
+    # Python's default buffering: unbuffered, a single write that the
+    # reader cut short reports the bytes that got through, not an error.
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "lexbs", "gen", "power-ideal", "x,y,z", "100"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert os.read(child.stdout.fileno(), 1) == b"x"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    # 141 is the shell's status for SIGPIPE; 1 and 3 would claim a
+    # counterexample or a fault in lexbs.
+    assert (child.wait(timeout=60), err) == (141, b"")
 
 
 def test_import_builds_no_parser():

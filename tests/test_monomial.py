@@ -1,7 +1,10 @@
+import pickle
+
 import pytest
 
 from lexbs.monomial import (
     Monomial,
+    _monomial,
     divides,
     format_monomial,
     glex_compare,
@@ -11,6 +14,7 @@ from lexbs.monomial import (
     max_index,
     monomials_of_degree,
     one,
+    quotients,
     variable,
 )
 
@@ -38,6 +42,30 @@ def test_equality_and_hash():
     assert m(1, 2, 0) == m(1, 2, 0)
     assert m(1, 2, 0) != m(1, 0, 2)
     assert len({m(1, 1, 0), m(1, 1, 0), m(0, 1, 1)}) == 2
+
+
+def test_quotients_are_kept_on_the_monomial():
+    u = m(2, 1, 0)
+    assert quotients(u) == (m(1, 1, 0), m(2, 0, 0), None)
+    assert quotients(u) is quotients(u)
+    assert quotients(m(0, 0, 1)) == (None, None, m(0, 0, 0))
+
+
+@pytest.mark.parametrize("build", [Monomial, lambda e: _monomial(e, sum(e))])
+def test_kept_quotients_change_nothing_visible(build):
+    # Equality, the hash, the repr and pickling read the exponents alone.
+    fresh, used = build((2, 1, 0)), build((2, 1, 0))
+    quotients(used)
+    assert fresh._quotients is None and used._quotients is not None
+    assert fresh == used and hash(fresh) == hash(used)
+    assert repr(fresh) == repr(used) == "Monomial((2, 1, 0))"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        pickled = pickle.dumps(fresh, protocol)
+        assert pickle.dumps(used, protocol) == pickled
+        back = pickle.loads(pickled)
+        assert back == fresh and hash(back) == hash(fresh)
+        assert (back.degree, back._quotients) == (3, None)
+        assert quotients(back) == quotients(used)
 
 
 def test_glex_degree_dominates():
