@@ -12,24 +12,30 @@ With three or fewer variables the variables are letters among x, y, z
 and digits following a letter are an exponent, with or without '^'
 ("x2y" means x^2*y).  With --vars N for N > 3 the variables are x1..xN,
 digits after 'x' select the variable, and exponents require '^'
-("x2^3" is the cube of the second variable).  Whitespace is free.
-Powers of parenthesized ideals are not part of the grammar; `lexbs gen
-power-ideal y,z 8` prints the expanded generator list of (y, z)^8.
+("x2^3" is the cube of the second variable).  Whitespace (whatever
+str.isspace accepts) may stand around generators, ',', '(', ')' and '*',
+and between terms, but not inside a term: "x ^2" and "x^ 2" are syntax
+errors.  A '*' stands between two terms, so "x*" and "x**y" are syntax
+errors too.  Powers of parenthesized ideals are not part of the
+grammar; `lexbs gen power-ideal y,z 8` prints the expanded generator
+list of (y, z)^8.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .betti import BettiDiagram, ek_betti, quotient_diagram
 from .decompose import bs_decompose, unit_normalized
 from .enumeration import CampaignConfig, run_campaign
 from .ideal import MonomialIdeal, UnitIdeal, format_ideal, minimalize
-from .monomial import Monomial
+from .monomial import _monomial
 from .pure import NotDecomposable
 from .verify import CHECKS, explain_chain
 
@@ -42,115 +48,68 @@ class IdealSyntaxError(ValueError):
         self.offset = offset
 
 
-_DIGITS = frozenset("0123456789")
-
-
-class _Scanner:
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        if self.pos < len(self.text):
-            return self.text[self.pos]
-        return None
-
-    def read_int(self) -> int | None:
-        """The number the ASCII digits 0-9 at the current position spell,
-        consumed; None if there are none."""
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
-            return None
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError:  # more digits than int() converts
-            raise self.error("number too long", start) from None
-
-    def error(self, message: str, pos: int | None = None) -> IdealSyntaxError:
-        """A syntax error at character `pos` (default: the current one),
-        reported at its offset in the UTF-8 bytes of the text."""
-        at = self.pos if pos is None else pos
-        return IdealSyntaxError(message, len(self.text[:at].encode()))
-
-
 _ALIAS = {"x": 0, "y": 1, "z": 2}
 
 
-def _parse_variable(sc: _Scanner, n: int) -> int:
-    ch = sc.peek()
-    if ch is None:
-        raise sc.error("expected a variable")
-    if n <= 3:
-        if ch not in _ALIAS:
-            raise sc.error(
-                f"unknown variable {ch!r} (expected one of "
-                f"{', '.join(list(_ALIAS)[:n])})"
-            )
-        idx = _ALIAS[ch]
-        if idx >= n:
-            raise sc.error(f"unknown variable {ch!r} with only {n} variable(s)")
-        sc.pos += 1
-        return idx
-    if ch != "x":
-        raise sc.error(
-            f"unknown variable {ch!r} (with {n} variables use x1..x{n})"
-        )
-    sc.pos += 1
-    start = sc.pos
-    i = sc.read_int()
-    if i is None:
-        raise sc.error(f"variable index expected after 'x' (use x1..x{n})")
-    if not 1 <= i <= n:
-        raise sc.error(f"variable x{i} out of range (1..{n})", start)
-    return i - 1
+@lru_cache(maxsize=None)
+def _tokens(n: int):
+    """The token patterns of the grammar in n variables (n > 3 all read
+    x1, x2, ...), compiled on first use: a campaign never parses.
+
+    They are a run of whitespace; a number and the whitespace after it;
+    and a term, with the whitespace after it and the '*' that may join it
+    to the next term and the whitespace after that.  A term's groups are
+    the variable (a letter, or the index after 'x'), the '^', the
+    exponent digits and the '*'.  Digits are the ASCII 0-9 only, and \\s
+    is exactly the whitespace of str.isspace.
+    """
+    variable = f"([{'xyz'[:n]}])" if n <= 3 else "x([0-9]+)"
+    return (
+        re.compile(r"\s*"),
+        re.compile(r"([0-9]+)\s*"),
+        re.compile(variable + r"(\^?)([0-9]*)\s*(\*?)\s*"),
+    )
 
 
-def _parse_exponent(sc: _Scanner, n: int) -> int:
-    ch = sc.peek()
-    if ch == "^":
-        sc.pos += 1
-        e = sc.read_int()
-        if e is None:
-            raise sc.error("exponent digits expected after '^'")
-        return e
-    if n <= 3 and ch in _DIGITS:
-        return sc.read_int()
-    return 1
+def _error(text: str, pos: int, message: str) -> IdealSyntaxError:
+    """A syntax error at character pos, reported at its offset in the
+    UTF-8 bytes of the text."""
+    return IdealSyntaxError(message, len(text[:pos].encode()))
 
 
-def _parse_monomial(sc: _Scanner, n: int) -> Monomial:
-    exps = [0] * n
-    sc.skip_ws()
-    if sc.peek() in _DIGITS:  # a number is a whole generator: "(1)"
-        start = sc.pos
-        if sc.read_int() != 1:
-            raise sc.error("the only number that is a generator is 1", start)
-        return Monomial(exps)
-    saw_term = False
-    while True:
-        sc.skip_ws()
-        ch = sc.peek()
-        if ch is None or ch in ",)":
-            break
+def _number(text: str, m, group: int) -> int:
+    """The number that group of the match m spells."""
+    try:
+        return int(m[group])
+    except ValueError:  # more digits than int() converts
+        raise _error(text, m.start(group), "number too long") from None
+
+
+def _no_term(text: str, pos: int, n: int, after: str) -> IdealSyntaxError:
+    """The error where a term should start at pos but none does; after is
+    '' at the start of a generator and '*' after a '*'."""
+    ch = text[pos : pos + 1]
+    if ch in ",)*":  # or the end of the text
+        if after:
+            return _error(text, pos, "expected a variable after '*'")
         if ch == "*":
-            if not saw_term:
-                raise sc.error("unexpected '*'")
-            sc.pos += 1
-            continue
-        idx = _parse_variable(sc, n)
-        exps[idx] += _parse_exponent(sc, n)
-        saw_term = True
-    if not saw_term:
-        raise sc.error("expected a monomial")
-    return Monomial(exps)
+            return _error(text, pos, "unexpected '*'")
+        return _error(text, pos, "expected a monomial")
+    if n > 3:
+        if ch == "x":
+            return _error(
+                text, pos + 1, f"variable index expected after 'x' (use x1..x{n})"
+            )
+        return _error(
+            text, pos, f"unknown variable {ch!r} (with {n} variables use x1..x{n})"
+        )
+    if ch in _ALIAS:
+        return _error(text, pos, f"unknown variable {ch!r} with only {n} variable(s)")
+    return _error(
+        text,
+        pos,
+        f"unknown variable {ch!r} (expected one of {', '.join(list(_ALIAS)[:n])})",
+    )
 
 
 def parse_ideal(text: str, n: int = 3):
@@ -161,30 +120,63 @@ def parse_ideal(text: str, n: int = 3):
     """
     if n < 1:
         raise ValueError("need at least one variable")
-    sc = _Scanner(text)
-    sc.skip_ws()
-    wrapped = False
-    if sc.peek() == "(":
-        wrapped = True
-        sc.pos += 1
-    monos = [_parse_monomial(sc, n)]
-    sc.skip_ws()
-    while sc.peek() == ",":
-        sc.pos += 1
-        monos.append(_parse_monomial(sc, n))
-        sc.skip_ws()
+    space, number, term = _tokens(min(n, 4))
+    space, term = space.match, term.match
+    pos = space(text).end()
+    wrapped = text.startswith("(", pos)
     if wrapped:
-        if sc.peek() != ")":
-            raise sc.error("expected ',' or ')'")
-        sc.pos += 1
-        sc.skip_ws()
-    if sc.pos != len(sc.text):
-        if sc.peek() == "^":
-            raise sc.error(
+        pos = space(text, pos + 1).end()
+    monos = []
+    while True:
+        exps = [0] * n
+        degree = 0
+        m = term(text, pos)
+        if m is None:
+            one = number.match(text, pos)
+            if one is None:
+                raise _no_term(text, pos, n, "")
+            if _number(text, one, 1) != 1:  # a number is a whole generator
+                raise _error(text, pos, "the only number that is a generator is 1")
+            pos = one.end()
+        while m is not None:
+            var, caret, digits, star = m.groups()
+            if n <= 3:
+                i = _ALIAS[var]
+            else:
+                i = _number(text, m, 1) - 1
+                if not 0 <= i < n:
+                    raise _error(
+                        text, m.start(1), f"variable x{i + 1} out of range (1..{n})"
+                    )
+            if digits:
+                e = _number(text, m, 3)
+            elif caret:
+                raise _error(text, m.end(2), "exponent digits expected after '^'")
+            else:
+                e = 1
+            exps[i] += e
+            degree += e
+            pos = m.end()
+            m = term(text, pos)
+            if m is None and (star or text[pos : pos + 1] not in ",)"):
+                raise _no_term(text, pos, n, star)
+        monos.append(_monomial(tuple(exps), degree))
+        if not text.startswith(",", pos):
+            break
+        pos = space(text, pos + 1).end()
+    if wrapped:
+        if not text.startswith(")", pos):
+            raise _error(text, pos, "expected ',' or ')'")
+        pos = space(text, pos + 1).end()
+    if pos != len(text):
+        if text[pos] == "^":
+            raise _error(
+                text,
+                pos,
                 "powers of ideals are not supported; expand the generators "
-                "(try `lexbs gen power-ideal`)"
+                "(try `lexbs gen power-ideal`)",
             )
-        raise sc.error(f"unexpected {sc.peek()!r}")
+        raise _error(text, pos, f"unexpected {text[pos]!r}")
     return minimalize(monos, n)
 
 
@@ -367,7 +359,7 @@ def _variable_key(name: str):
     if name in _ALIAS:
         return (False, _ALIAS[name])
     digits = name[1:]
-    if name[:1] != "x" or not digits or not set(digits) <= _DIGITS:
+    if name[:1] != "x" or not (digits.isascii() and digits.isdigit()):
         return None
     try:
         i = int(digits)

@@ -105,22 +105,23 @@ class MonomialIdeal:
         return f"MonomialIdeal({self.n}, {format_ideal(self)})"
 
 
-def _fill(I: MonomialIdeal, n: int, ordered: tuple[Monomial, ...]) -> None:
-    """Set the slots of I from its glex-descending minimal generators."""
+def _fill(I: MonomialIdeal, n: int, ordered: tuple[Monomial, ...]) -> MonomialIdeal:
+    """Set the slots of I from its glex-descending minimal generators;
+    returns I."""
     I.n = n
     I.gens = ordered
     I._key = key = tuple(g.exponents for g in ordered)
     I._hash = hash(key)
     I._lex = I._stable = None
+    return I
 
 
 def _ideal(n: int, gens) -> MonomialIdeal:
     """The MonomialIdeal of generators known to be minimal, distinct,
     nonconstant and in n variables: sorted glex-descending, without the
     constructor's checks.  It equals and hashes like the checked one."""
-    I = object.__new__(MonomialIdeal)
-    _fill(I, n, tuple(sorted(gens, key=glex_key, reverse=True)))
-    return I
+    ordered = tuple(sorted(gens, key=glex_key, reverse=True))
+    return _fill(object.__new__(MonomialIdeal), n, ordered)
 
 
 Ideal = MonomialIdeal | UnitIdeal | ZeroIdeal
@@ -149,13 +150,14 @@ def minimalize(monos, n: int | None = None):
             raise ValueError(f"{m!r} does not live in {n} variables")
     if any(m.degree == 0 for m in monos):
         return UnitIdeal(n)
-    # Ascending degree: a proper divisor has strictly smaller degree,
-    # so each candidate only needs testing against already-kept gens.
+    # Ascending glex, one degree band at a time: a proper divisor has a
+    # strictly smaller degree, so a candidate is tested only against the
+    # generators kept from lower bands.  Duplicates collapse first.
     kept: list[Monomial] = []
-    for m in sorted(set(monos), key=glex_key):
-        if not _divisible(m.exponents, kept):
-            kept.append(m)
-    return _ideal(n, kept)
+    unique = {m.exponents: m for m in monos}.values()
+    for _, band in groupby(sorted(unique, key=glex_key), attrgetter("degree")):
+        kept += [m for m in band if not _divisible(m.exponents, kept)]
+    return _fill(object.__new__(MonomialIdeal), n, tuple(reversed(kept)))
 
 
 def min_gen_degree(I: MonomialIdeal) -> int:

@@ -2,11 +2,13 @@
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -52,7 +54,11 @@ def test_parse_digit_shorthand():
 
 
 def test_parse_whitespace_and_parens():
+    # Around generators, ',', '(', ')' and '*', and between terms.
     assert parse_ideal(" ( x^2 ,  x y ) ") == parse_ideal("x^2, xy")
+    spaced = " \t( x^2 * y ,\u00a0x y2 z , z^3 )\n"
+    assert parse_ideal(spaced) == parse_ideal("(x^2*y,x*y^2*z,z^3)")
+    assert parse_ideal(" x1 * x2^2 x3 , x4 ", 4) == parse_ideal("x1*x2^2*x3,x4", 4)
 
 
 def test_parse_indexed_mode():
@@ -134,6 +140,84 @@ def test_parse_bare_number():
             parse_ideal(text)
         assert err.value.offset == offset
         assert "variable" not in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("x*", 2),
+        ("x* ", 3),
+        ("x**y", 2),
+        ("x * * y", 4),
+        ("x*, y", 2),
+        ("(x*)", 3),
+        ("x1*", 3),
+    ],
+)
+def test_a_star_stands_between_two_terms(capsys, text, offset):
+    n = 4 if "1" in text else 3
+    code, out, err = run(capsys, "betti", text, "--vars", str(n))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: syntax error at byte {offset}: expected a variable after '*'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, offset, message",
+    [
+        ("x ^2", 2, "unknown variable '^' (expected one of x, y, z)"),
+        ("x^ 2", 2, "exponent digits expected after '^'"),
+        ("x 2", 2, "unknown variable '2' (expected one of x, y, z)"),
+        ("x\u00a0^2", 3, "unknown variable '^' (expected one of x, y, z)"),
+    ],
+)
+def test_no_whitespace_inside_a_term(text, offset, message):
+    with pytest.raises(IdealSyntaxError) as err:
+        parse_ideal(text)
+    assert str(err.value) == f"syntax error at byte {offset}: {message}"
+
+
+def test_whitespace_and_digits_are_the_same_on_every_code_point():
+    # Unicode tables differ between Python versions; the classes the
+    # parser's patterns use must still be str.isspace and ASCII 0-9.
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    space, number, _ = cli._tokens(3)
+    assert space.sub("", chars) == "".join(c for c in chars if not c.isspace())
+    assert "".join(number.findall(chars)) == "0123456789"
+    for c in filter(str.isspace, chars):
+        text = f"{c}({c}x^2{c}*{c}y{c}z{c},{c}z{c}){c}"
+        assert parse_ideal(text) == parse_ideal("x^2*y*z, z")
+    for c in filter(str.isnumeric, chars):
+        if c in "0123456789":
+            continue
+        for text, offset in (("x^" + c, 2), ("x" + c, 1), ("x1" + c, 2)):
+            with pytest.raises(IdealSyntaxError) as err:
+                parse_ideal(text, 4 if text.startswith("x1") else 3)
+            assert err.value.offset == offset
+        with pytest.raises(IdealSyntaxError) as err:
+            parse_ideal(c)
+        assert err.value.offset == 0
+
+
+# Made by tests/data/make_parse_cases.py; see there for the layout.
+PARSE_CASES = Path(__file__).resolve().parent / "data" / "parse_cases.tsv"
+
+
+def test_golden_parser_corpus():
+    wrong = []
+    with open(PARSE_CASES, encoding="utf-8") as f:
+        for number, line in enumerate(f, 1):
+            n, text, want = line.rstrip("\n").split("\t")
+            text = json.loads(text)
+            try:
+                got = format_ideal(parse_ideal(text, int(n)))
+            except IdealSyntaxError as exc:
+                got = str(exc)
+            if got != want:
+                wrong.append((number, text, want, got))
+    assert number == 4000
+    assert wrong == []
 
 
 def test_parse_variable_out_of_range():

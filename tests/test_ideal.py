@@ -4,6 +4,7 @@ predicate and Hilbert counts."""
 import pickle
 import random
 from math import comb
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -76,6 +77,41 @@ def test_minimalize_empty_is_error():
 def test_minimalize_dimension_mismatch():
     with pytest.raises(ValueError):
         minimalize([m(1, 0), m(1, 0, 0)])
+
+
+@st.composite
+def _generator_lists(draw):
+    """Monomials in 1-4 variables, with repeats and the unit now and then;
+    some lists are a whole degree piece, such as (x, y, z)^k, or contain
+    one."""
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    gens = draw(st.lists(exps, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        gens += [u.exponents for u in monomials_of_degree(n, k)]
+    gens += draw(st.lists(st.sampled_from(gens), max_size=3))  # repeats
+    return n, draw(st.permutations(gens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_lists())
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 0)]))
+@example((2, [(1, 1), (0, 0), (2, 0)]))
+def test_minimalize_keeps_exactly_the_undivided_property(case):
+    n, gens = case
+    I = minimalize([Monomial(e) for e in gens], n)
+    if (0,) * n in gens:
+        assert I == UnitIdeal(n)
+        return
+    # The oracle: a generator stays iff no other distinct input divides it.
+    kept = {
+        e
+        for e in gens
+        if not any(d != e and all(map(le, d, e)) for d in gens)
+    }
+    got = [g.exponents for g in I.gens]
+    assert got == sorted(kept, key=lambda e: (sum(e), e), reverse=True)
 
 
 def test_gens_sorted_descending():
