@@ -6,7 +6,6 @@ from .monomial import (
     Monomial,
     divides,
     format_monomial,
-    glex_compare,
     glex_key,
     max_index,
     monomials_of_degree,
@@ -32,7 +31,6 @@ from .betti import (
     BettiDiagram,
     ek_betti,
     mapping_cone_betti,
-    proj_dim,
     quotient_diagram,
     regularity,
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb
 
 from .ideal import MonomialIdeal, is_stable, max_gen_degree, stable_violation
-from .monomial import format_monomial, max_index
+from .monomial import ek_split, format_monomial, max_index
 
 
 class BettiDiagram:
@@ -73,17 +73,13 @@ def ek_betti(I: MonomialIdeal) -> BettiDiagram:
     beta_{i, i+j}(I) = sum over degree-j generators u of
     binomial(m(u)-1, i).  A non-stable input raises ValueError naming a
     violating generator.  The generators are counted by (degree, m(u))
-    first, each m(u) read off the exponents in one pass, and each count
-    then adds a binomial row.
+    first, each m(u) read off the split that ek_split keeps on u, and
+    each count then adds a binomial row.
     """
     _require_stable(I)
     cells: dict[tuple[int, int], int] = {}
     for g in I.gens:
-        e = g.exponents
-        m = len(e)
-        while not e[m - 1]:
-            m -= 1
-        key = (g.degree, m)
+        key = (g.degree, len((g._split or ek_split(g))[0]) + 1)
         cells[key] = cells.get(key, 0) + 1
     entries: dict[tuple[int, int], int] = {}
     for (j, m), count in cells.items():
@@ -106,16 +102,12 @@ def mapping_cone_betti(
     unchanged under the re-embedding.
     """
     out: dict[tuple[int, int], object] = {}
-
-    def bump(i, j, v):
-        out[(i, j)] = out.get((i, j), 0) + v
-
     for (i, j), v in colon_diagram.items():
-        bump(i, j + 1, v)
+        out[i, j + 1] = v
     if xfree_diagram is not None:
         for (i, j), v in xfree_diagram.items():
-            bump(i, j, v)
-            bump(i + 1, j + 1, v)
+            out[i, j] = out.get((i, j), 0) + v
+            out[i + 1, j + 1] = out.get((i + 1, j + 1), 0) + v
     return _diagram(colon_diagram.n, out)
 
 
@@ -127,12 +119,6 @@ def quotient_diagram(B: BettiDiagram) -> BettiDiagram:
     entries = {(i + 1, j): v for (i, j), v in B.items()}
     entries[(0, 0)] = entries.get((0, 0), 0) + 1
     return _diagram(B.n, entries)
-
-
-def proj_dim(I: MonomialIdeal) -> int:
-    """Projective dimension of R/I for stable I: max of m(u) over G(I)."""
-    _require_stable(I)
-    return max(max_index(g) for g in I.gens)
 
 
 def regularity(I: MonomialIdeal) -> int:

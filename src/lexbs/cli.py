@@ -16,9 +16,11 @@ digits after 'x' select the variable, and exponents require '^'
 str.isspace accepts) may stand around generators, ',', '(', ')' and '*',
 and between terms, but not inside a term: "x ^2" and "x^ 2" are syntax
 errors.  A '*' stands between two terms, so "x*" and "x**y" are syntax
-errors too.  Powers of parenthesized ideals are not part of the
-grammar; `lexbs gen power-ideal y,z 8` prints the expanded generator
-list of (y, z)^8.
+errors too.  The number generator is the digit 1 alone ("01" is a
+syntax error), but exponents and indices may carry leading zeros:
+"x^007" is x^7 and "x01" is x1.  Powers of parenthesized ideals are not
+part of the grammar; `lexbs gen power-ideal y,z 8` prints the expanded
+generator list of (y, z)^8.
 """
 
 from __future__ import annotations
@@ -135,7 +137,8 @@ def parse_ideal(text: str, n: int = 3):
             one = number.match(text, pos)
             if one is None:
                 raise _no_term(text, pos, n, "")
-            if _number(text, one, 1) != 1:  # a number is a whole generator
+            if one[1] != "1":  # a number is a whole generator
+                _number(text, one, 1)  # raises first on a number too long
                 raise _error(text, pos, "the only number that is a generator is 1")
             pos = one.end()
         while m is not None:

@@ -14,20 +14,26 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, groupby
 from math import comb
-from operator import attrgetter, le
+from operator import attrgetter, contains as _has, le
 
 from .monomial import (
     Monomial,
     _monomial,
     check_variable_index,
+    ek_split,
     format_monomial,
     glex_key,
     glex_rank,
     glex_unrank,
+    kept_rank,
     max_index,
     monomials_of_degree,
     quotients,
+    xfree_projection,
 )
+
+_exponents = attrgetter("exponents")
+_degree = attrgetter("degree")
 
 
 class _Trivial:
@@ -110,7 +116,7 @@ def _fill(I: MonomialIdeal, n: int, ordered: tuple[Monomial, ...]) -> MonomialId
     returns I."""
     I.n = n
     I.gens = ordered
-    I._key = key = tuple(g.exponents for g in ordered)
+    I._key = key = tuple(map(_exponents, ordered))
     I._hash = hash(key)
     I._lex = I._stable = None
     return I
@@ -155,7 +161,7 @@ def minimalize(monos, n: int | None = None):
     # generators kept from lower bands.  Duplicates collapse first.
     kept: list[Monomial] = []
     unique = {m.exponents: m for m in monos}.values()
-    for _, band in groupby(sorted(unique, key=glex_key), attrgetter("degree")):
+    for _, band in groupby(sorted(unique, key=glex_key), _degree):
         kept += [m for m in band if not _divisible(m.exponents, kept)]
     return _fill(object.__new__(MonomialIdeal), n, tuple(reversed(kept)))
 
@@ -273,23 +279,28 @@ def _initial_segments(I: MonomialIdeal) -> bool:
 
     Degree by degree, I_d is the shadow of I_{d-1} together with the
     degree-d generators, which lie outside that shadow.  When I_{d-1} is
-    an initial segment ending in e, its shadow is the initial segment
-    ending in e * x_n, of size s = rank(e * x_n) + 1, so I_d is initial
+    an initial segment ending in u, its shadow is the initial segment
+    ending in u * x_n, of size s = rank(u * x_n) + 1, so I_d is initial
     exactly when the degree-d generators have the glex ranks s, s+1, ...
     Above the last generator degree shadows keep the pieces initial.
     Distinct generators of one degree have strictly rising ranks, so
-    they are s, s+1, ... exactly when the first and the last are.
+    they are s, s+1, ... exactly when the first and the last are.  The
+    ranks of the generators that end a band, and of u * x_n for the u
+    that ends it when the next band is one degree up, are kept on them.
     """
-    last = None  # the tuple ending the current initial segment
-    last_deg = 0
+    last = None  # the generator ending the current initial segment
     # Reversed: by ascending degree, and in a degree by falling rank.
-    for d, group in groupby(reversed(I.gens), attrgetter("degree")):
-        slice_d = [g.exponents for g in group]
-        start = 0 if last is None else glex_rank(_times_last(last, d - last_deg)) + 1
-        k = len(slice_d) - 1
-        if glex_rank(slice_d[-1]) != start or glex_rank(slice_d[0]) != start + k:
+    for d, group in groupby(reversed(I.gens), _degree):
+        band = list(group)
+        if last is None:
+            start = 0
+        elif d == last.degree + 1:
+            start = kept_rank(last, 1) + 1
+        else:
+            start = glex_rank(_times_last(last.exponents, d - last.degree)) + 1
+        if kept_rank(band[-1]) != start or kept_rank(band[0]) != start + len(band) - 1:
             return False
-        last, last_deg = slice_d[0], d
+        last = band[0]
     return True
 
 
@@ -313,25 +324,19 @@ def stable_violation(I: MonomialIdeal):
 
     A generator g is a prefix of v exactly when it agrees with v before
     m = m(g) and g_m <= v_m, so the generators are kept by their
-    exponents before m(g).  The prefixes of the exchange that end before
-    x_i are proper prefixes of u, so no generator of a minimal set; the
-    lookups run from x_i to x_{m(u)}, each on the prefix of the one
-    before with one more exponent.
+    exponents before m(g), which with g_m make the split that ek_split
+    keeps on g.  The prefixes of the exchange that end before x_i are
+    proper prefixes of u, so no generator of a minimal set; the lookups
+    run from x_i to x_{m(u)}, each on the prefix of the one before with
+    one more exponent.
     """
     gens = I.gens
-    tops: dict[tuple[int, ...], int] = {}
-    ends = []
-    for g in gens:
+    splits = [g._split or ek_split(g) for g in gens]
+    get = dict(splits).get
+    for g, (head, top) in zip(gens, splits):
         e = g.exponents
-        m = len(e)
-        while not e[m - 1]:
-            m -= 1
-        tops[e[: m - 1]] = e[m - 1]
-        ends.append(m)
-    get = tops.get
-    for g, m in zip(gens, ends):
-        e = g.exponents
-        last = e[m - 1] - 1
+        m = len(head) + 1
+        last = top - 1
         for i in range(1, m):
             p = e[: i - 1]
             x = e[i - 1] + 1  # the exchange's exponent after p
@@ -362,10 +367,10 @@ def is_artinian(I: Ideal) -> bool:
         return True
     if isinstance(I, ZeroIdeal):
         return False
-    for i in range(I.n):
-        if not any(g.exponents[i] == g.degree for g in I.gens):
-            return False
-    return True
+    # Minimal generators hold at most one pure power of each variable, and
+    # u is one exactly when an exponent equals its degree.
+    gens = I.gens
+    return sum(map(_has, map(_exponents, gens), map(_degree, gens))) == I.n
 
 
 def colon_variable(I: MonomialIdeal, i: int):
@@ -427,12 +432,11 @@ def split_x(L: MonomialIdeal) -> Split:
 
 def xfree_part(L: MonomialIdeal):
     """J: the x_1-free generators of L in the last n-1 variables, or
-    ZeroIdeal(n - 1) when there are none."""
-    projected = [
-        _monomial(g.exponents[1:], g.degree) for g in L.gens if not g.exponents[0]
-    ]
+    ZeroIdeal(n - 1) when there are none.  Their projections, kept on
+    them, stay glex-descending: dropping a leading 0 keeps the order."""
+    projected = tuple(xfree_projection(g) for g in L.gens if not g.exponents[0])
     if projected:
-        return _ideal(L.n - 1, projected)
+        return _fill(object.__new__(MonomialIdeal), L.n - 1, projected)
     return ZeroIdeal(L.n - 1)
 
 

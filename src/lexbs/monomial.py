@@ -21,11 +21,15 @@ class Monomial:
 
     The number of variables is the length of the tuple.  Operations that
     combine two monomials require equal lengths and raise ValueError on a
-    mismatch rather than guessing an embedding.  ``_quotients`` keeps
-    :func:`quotients`; equality, hash, repr and pickling ignore it.
+    mismatch rather than guessing an embedding.  Three slots keep what is
+    derived from the exponents alone, None until first use: ``_quotients``
+    holds :func:`quotients`, ``_split`` :func:`ek_split`, which the
+    kernels read most, and ``_kept`` the list of the two ranks that
+    :func:`kept_rank` finds and the projection of :func:`xfree_projection`.
+    Equality, hash, repr and pickling read the exponents alone.
     """
 
-    __slots__ = ("exponents", "degree", "_quotients")
+    __slots__ = ("exponents", "degree", "_quotients", "_split", "_kept")
 
     def __init__(self, exponents):
         exps = tuple(int(e) for e in exponents)
@@ -35,7 +39,7 @@ class Monomial:
             raise ValueError(f"negative exponent in {exps!r}")
         self.exponents = exps
         self.degree = sum(exps)
-        self._quotients = None
+        self._quotients = self._split = self._kept = None
 
     @property
     def nvars(self) -> int:
@@ -61,7 +65,7 @@ def _monomial(exponents: tuple[int, ...], degree: int) -> Monomial:
     u = object.__new__(Monomial)
     u.exponents = exponents
     u.degree = degree
-    u._quotients = None
+    u._quotients = u._split = u._kept = None
     return u
 
 
@@ -75,6 +79,42 @@ def quotients(u: Monomial) -> tuple:
             for k, c in enumerate(e)
         )
     return u._quotients
+
+
+def ek_split(u: Monomial) -> tuple[tuple[int, ...], int]:
+    """The Eliahou-Kervaire split of u != 1: the exponents before
+    x_m(u), and the exponent of x_m(u), so m(u) is one more than the
+    length of the first.  Found on the first call for u and kept on it."""
+    if u._split is None:
+        e = u.exponents
+        m = len(e)
+        while not e[m - 1]:
+            m -= 1
+        u._split = (e[: m - 1], e[m - 1])
+    return u._split
+
+
+def kept_rank(u: Monomial, up: int = 0) -> int:
+    """glex_rank of u, or with up = 1 of u * x_n, found on the first call
+    for u and kept on it."""
+    kept = u._kept
+    if kept is None:
+        kept = u._kept = [None, None, None]
+    if kept[up] is None:
+        e = u.exponents
+        kept[up] = glex_rank(e[:-1] + (e[-1] + 1,) if up else e)
+    return kept[up]
+
+
+def xfree_projection(u: Monomial) -> Monomial:
+    """u, free of x_1, as a monomial in the last n - 1 variables, built on
+    the first call for u and kept on it."""
+    kept = u._kept
+    if kept is None:
+        kept = u._kept = [None, None, None]
+    if kept[2] is None:
+        kept[2] = _monomial(u.exponents[1:], u.degree)
+    return kept[2]
 
 
 def one(n: int) -> Monomial:
@@ -100,29 +140,14 @@ def variable(i: int, n: int) -> Monomial:
 glex_key = attrgetter("degree", "exponents")
 
 
-def glex_compare(a: Monomial, b: Monomial) -> int:
-    """Three-way glex comparison: 1 if a > b, -1 if a < b, 0 if equal."""
-    if a.nvars != b.nvars:
-        raise ValueError(
-            f"cannot compare monomials in {a.nvars} and {b.nvars} variables"
-        )
-    ka, kb = glex_key(a), glex_key(b)
-    if ka > kb:
-        return 1
-    if ka < kb:
-        return -1
-    return 0
-
-
 def max_index(u: Monomial) -> int:
     """m(u): the largest index i with x_i dividing u (1-based).
 
     Undefined for the unit monomial.
     """
-    for i in range(u.nvars - 1, -1, -1):
-        if u.exponents[i] > 0:
-            return i + 1
-    raise ValueError("max_index is undefined for the unit monomial")
+    if not u.degree:
+        raise ValueError("max_index is undefined for the unit monomial")
+    return len(ek_split(u)[0]) + 1
 
 
 def divides(a: Monomial, b: Monomial) -> bool:

@@ -25,16 +25,17 @@ to its check.  The checks:
   L = x_1*(L : x_1) + J used throughout.
 
 The checks read what they derive from an ideal (the colons, (L, x_1),
-J, the family test, the Betti diagram, its greedy chain and that chain
-cut into full-length and short summands) from its IdealFacts, which
-computes each item at most once.  A campaign meets each ideal again as a
-different but equal object, the colon or (L, x_1) of others, so facts_of
-finds facts by value in a bounded cache, the only one in this module; the
-facts link those of the colons, (L, x_1) and J, found once, and chain_of
-reads a chain from there.  So an ideal's lex and stability answers (kept
-on the ideal; see is_lex_segment and is_stable), its diagram, chain and
-cut are decided once per distinct ideal while its facts stay cached or
-linked.
+J, the family test, the Betti diagram, its greedy chain, that chain cut
+into full-length and short summands, and the full-length ones with every
+degree raised by one, which check_colon_prefix reads on a colon) from
+its IdealFacts, which computes each item at most once.  A campaign meets
+each ideal again as a different but equal object, the colon or (L, x_1)
+of others, so facts_of finds facts by value in a bounded cache, the only
+one in this module; the facts link those of the colons, (L, x_1) and J,
+found once, and chain_of reads a chain from there.  So an ideal's lex
+and stability answers (kept on the ideal; see is_lex_segment and
+is_stable), its diagram, chain and cut are decided once per distinct
+ideal while its facts stay cached or linked.
 """
 
 from __future__ import annotations
@@ -130,13 +131,14 @@ class IdealFacts:
     """
 
     __slots__ = ("ideal", "_colons", "_artinian", "_xfree", "_augmented",
-                 "_diagram", "_chain", "_cut", "_family")
+                 "_diagram", "_chain", "_cut", "_shifted", "_family")
 
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
         self._colons: dict[int, IdealFacts] = {}
         self._artinian = self._xfree = self._augmented = None
-        self._diagram = self._chain = self._cut = self._family = None
+        self._diagram = self._chain = self._cut = self._shifted = None
+        self._family = None
 
     @property
     def artinian(self) -> bool:
@@ -186,6 +188,15 @@ class IdealFacts:
         if self._cut is None:
             self._cut = split_by_length(self.chain, self.ideal.n)
         return self._cut
+
+    @property
+    def shifted_prefix(self) -> tuple:
+        """The chain's full-length summands, every degree raised by one."""
+        if self._shifted is None:
+            self._shifted = tuple(
+                (coeff, _shift_seq(seq)) for coeff, seq in self.cut[0]
+            )
+        return self._shifted
 
     @property
     def family(self):
@@ -261,7 +272,7 @@ def check_colon_prefix(L: MonomialIdeal) -> CheckReport:
     if isinstance(colon.ideal, UnitIdeal):
         return CheckReport(L, "vacuous(colon by x_1 is the unit ideal)")
     full_L = f.cut[0]
-    expected = tuple((coeff, _shift_seq(seq)) for coeff, seq in colon.cut[0])
+    expected = colon.shifted_prefix
     t1 = len(expected)
     details = {
         "prefix_length": t1,

@@ -19,7 +19,6 @@ from lexbs.betti import (
     BettiDiagram,
     ek_betti,
     mapping_cone_betti,
-    proj_dim,
     quotient_diagram,
     regularity,
 )
@@ -137,10 +136,7 @@ def test_quotient_diagram_koszul():
 
 def test_proj_dim_and_regularity():
     L = splice8()
-    assert proj_dim(L) == 3
     assert regularity(L) == 8
-    assert proj_dim(parse_ideal("x, y, z")) == 3
-    assert proj_dim(minimalize([m(2, 0, 0)])) == 1
 
 
 def test_diagram_validation():

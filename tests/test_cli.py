@@ -239,6 +239,24 @@ def test_unit_ideal_round_trips(capsys, n):
     assert err.startswith("warning: a generator reduces to 1")
 
 
+@pytest.mark.parametrize("text, offset", [("01", 0), ("001", 0), ("x, 01", 3)])
+def test_only_the_digit_one_is_a_number_generator(capsys, text, offset):
+    with pytest.raises(IdealSyntaxError) as err:
+        parse_ideal(text)
+    assert err.value.offset == offset
+    assert str(err.value).endswith("the only number that is a generator is 1")
+    code, out, err = run(capsys, "betti", text)
+    assert (code, out) == (2, "")
+    assert "the only number that is a generator is 1" in err
+    # A number too long to read is still named as such, leading zeros or not.
+    for digits in ("0" * 4999 + "1", "1" * 5000):
+        with pytest.raises(IdealSyntaxError, match="number too long"):
+            parse_ideal(digits)
+    # Exponents and variable indices still read leading zeros.
+    assert parse_ideal("x^007, y") == parse_ideal("x^7, y")
+    assert parse_ideal("x01*x2^03", 4) == parse_ideal("x1*x2^3", 4)
+
+
 def test_round_trip_through_format():
     from lexbs.ideal import format_ideal
 

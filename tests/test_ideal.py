@@ -15,6 +15,7 @@ from lexbs.ideal import (
     UnitIdeal,
     ZeroIdeal,
     _ideal,
+    _initial_segments,
     add_variable,
     colon_variable,
     contains,
@@ -31,14 +32,19 @@ from lexbs.ideal import (
     segment_shadow_size,
     split_x,
     stable_violation,
+    xfree_part,
 )
+from lexbs.betti import ek_betti
 from lexbs.monomial import (
     Monomial,
-    glex_compare,
+    ek_split,
+    glex_key,
+    kept_rank,
     monomials_of_degree,
     one,
     quotients,
     variable,
+    xfree_projection,
 )
 from lexbs.cli import parse_ideal
 
@@ -117,7 +123,7 @@ def test_minimalize_keeps_exactly_the_undivided_property(case):
 def test_gens_sorted_descending():
     I = parse_ideal(SPLICE8_TEXT)
     for a, b in zip(I.gens, I.gens[1:]):
-        assert glex_compare(a, b) == 1
+        assert glex_key(a) > glex_key(b)
 
 
 def test_constructor_rejects_duplicates_and_units():
@@ -538,6 +544,71 @@ def test_split_xfree_matches_minimalize_property(I):
     assert xfree == expected and hash(xfree) == hash(expected)
     textbook_colon = _colon_by_textbook(L, 1)
     assert colon == textbook_colon and hash(colon) == hash(textbook_colon)
+
+
+def _rebuilt(I, fill):
+    """I on new Monomial objects, with every value they keep filled first
+    when fill is true."""
+    gens = [Monomial(g.exponents) for g in I.gens]
+    for g in gens if fill else ():
+        quotients(g), ek_split(g), kept_rank(g), kept_rank(g, 1)
+        if not g.exponents[0]:
+            xfree_projection(g)
+    return _ideal(I.n, gens)
+
+
+def _kernel_answers(I):
+    try:
+        diagram = ek_betti(I)
+    except ValueError as exc:
+        diagram = str(exc)
+    J = xfree_part(I)
+    return (
+        stable_violation(I),
+        diagram,
+        _initial_segments(I),
+        J,
+        getattr(J, "_key", None),
+    )
+
+
+# Half the draws are lex ideals: lexified Borel closures, as above.
+@_PROPERTY
+@given(ideals(max_deg=3, min_vars=1), st.booleans())
+def test_kernels_answer_the_same_on_kept_values_property(I, lex):
+    if lex:
+        closed = borel_closure([g.exponents for g in I.gens])
+        I = lexify(minimalize([Monomial(e) for e in closed], I.n))
+    fresh = _rebuilt(I, fill=False)
+    answers = _kernel_answers(fresh)
+    assert _kernel_answers(_rebuilt(I, fill=True)) == answers
+    # The fresh monomials have now kept what the kernels read.
+    assert _kernel_answers(_ideal(I.n, fresh.gens)) == answers
+    assert answers[2] == _is_lex_by_scan(I)
+
+
+@st.composite
+def _mostly_with_pure_powers(draw):
+    """n and generator exponent tuples in n = 1..4 variables, with a pure
+    power of each variable four times in five."""
+    n = draw(st.integers(1, 4))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4))
+    for i in range(n):
+        if draw(st.integers(0, 4)):
+            power = draw(st.integers(1, 4))
+            exps.append(tuple(power if k == i else 0 for k in range(n)))
+    return n, exps or [(0,) * n]
+
+
+@_PROPERTY
+@given(_mostly_with_pure_powers())
+def test_is_artinian_matches_brute_force_property(case):
+    n, exps = case
+    I = minimalize([Monomial(e) for e in exps], n)
+    # Artinian: some x_i^D lies in I for every i, D the top input degree.
+    top = max(map(sum, exps))
+    powers = [Monomial(tuple(top if k == i else 0 for k in range(n))) for i in range(n)]
+    assert is_artinian(I) == all(contains(I, u) for u in powers)
 
 
 def test_lexify_reaches_degree_601():

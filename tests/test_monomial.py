@@ -1,21 +1,24 @@
 import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lexbs.monomial import (
     Monomial,
     _monomial,
     divides,
+    ek_split,
     format_monomial,
-    glex_compare,
     glex_key,
     glex_rank,
     glex_unrank,
+    kept_rank,
     max_index,
     monomials_of_degree,
     one,
     quotients,
     variable,
+    xfree_projection,
 )
 
 from conftest import m
@@ -51,39 +54,88 @@ def test_quotients_are_kept_on_the_monomial():
     assert quotients(m(0, 0, 1)) == (None, None, m(0, 0, 0))
 
 
+def shadow_rank(u):
+    return kept_rank(u, 1)
+
+
+# What a monomial keeps, each filled by its accessor: the quotients and
+# the split in their own slots, the others in the list of the slot _kept.
+# xfree_projection is defined on x_1-free monomials only.
+KEPT = (quotients, ek_split, kept_rank, shadow_rank, xfree_projection)
+
+
+def _kept(u):
+    return [u._quotients, u._split, *(u._kept or [None] * 3)]
+
+
 @pytest.mark.parametrize("build", [Monomial, lambda e: _monomial(e, sum(e))])
 def test_kept_quotients_change_nothing_visible(build):
-    # Equality, the hash, the repr and pickling read the exponents alone.
-    fresh, used = build((2, 1, 0)), build((2, 1, 0))
-    quotients(used)
-    assert fresh._quotients is None and used._quotients is not None
-    assert fresh == used and hash(fresh) == hash(used)
-    assert repr(fresh) == repr(used) == "Monomial((2, 1, 0))"
+    # Equality, the hash, the repr and pickling read the exponents alone,
+    # whatever is kept: nothing, one value, or all of them.
+    fresh, one_kept, used = build((0, 2, 1)), build((0, 2, 1)), build((0, 2, 1))
+    kept_rank(one_kept)
+    for fill in KEPT:
+        fill(used)
+    assert fresh._kept is None and set(_kept(fresh)) == {None}
+    assert _kept(one_kept) == [None, None, 7, None, None]
+    assert None not in _kept(used)
+    for u in (one_kept, used):
+        assert fresh == u and hash(fresh) == hash(u)
+        assert repr(u) == "Monomial((0, 2, 1))"
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         pickled = pickle.dumps(fresh, protocol)
+        assert pickle.dumps(one_kept, protocol) == pickled
         assert pickle.dumps(used, protocol) == pickled
-        back = pickle.loads(pickled)
-        assert back == fresh and hash(back) == hash(fresh)
-        assert (back.degree, back._quotients) == (3, None)
-        assert quotients(back) == quotients(used)
+        for u in (fresh, used):
+            back = pickle.loads(pickle.dumps(u, protocol))
+            assert back == fresh and hash(back) == hash(fresh)
+            # An unpickled monomial keeps nothing, and derives the same.
+            assert back.degree == 3 and back._kept is None
+            assert set(_kept(back)) == {None}
+            assert [fill(back) for fill in KEPT] == _kept(used)
+
+
+def test_kept_values_are_kept():
+    u = m(0, 2, 1, 0)
+    for k, fill in enumerate(KEPT):
+        assert fill(u) is _kept(u)[k] is fill(u)
+    assert ek_split(u) == ((0, 2), 1)
+    assert xfree_projection(u) == m(2, 1, 0)
+    assert xfree_projection(u).degree == 3
+    with pytest.raises(ValueError):
+        max_index(one(3))
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=5).filter(any))
+def test_kept_split_and_ranks_match_a_scan_property(e):
+    u = Monomial(e)
+    n, d = len(e), sum(e)
+    m_u = max(i + 1 for i, c in enumerate(e) if c)  # the scan oracle
+    assert ek_split(u) == (tuple(e[: m_u - 1]), e[m_u - 1])
+    assert max_index(u) == m_u
+    assert kept_rank(u) == glex_rank(tuple(e))
+    assert glex_unrank(n, d, kept_rank(u)) == tuple(e)
+    shadow = tuple(e[:-1]) + (e[-1] + 1,)
+    assert shadow_rank(u) == glex_rank(shadow)
+    assert glex_unrank(n, d + 1, shadow_rank(u)) == shadow
+    # Read again, the kept values answer the same.
+    assert (max_index(u), kept_rank(u)) == (m_u, glex_rank(tuple(e)))
+    if not e[0]:
+        assert xfree_projection(u).exponents == tuple(e[1:])
+        assert xfree_projection(u).degree == d
 
 
 def test_glex_degree_dominates():
     # z^3 has higher degree than x^2, so it is bigger in glex.
-    assert glex_compare(m(0, 0, 3), m(2, 0, 0)) == 1
+    assert glex_key(m(0, 0, 3)) > glex_key(m(2, 0, 0))
 
 
 def test_glex_ties_broken_leftmost():
-    assert glex_compare(m(2, 0, 0), m(1, 1, 0)) == 1
-    assert glex_compare(m(1, 1, 0), m(1, 0, 1)) == 1
-    assert glex_compare(m(1, 0, 1), m(0, 2, 0)) == 1
-    assert glex_compare(m(1, 1, 1), m(1, 1, 1)) == 0
-    assert glex_compare(m(0, 2, 0), m(1, 0, 1)) == -1
-
-
-def test_glex_dimension_mismatch():
-    with pytest.raises(ValueError):
-        glex_compare(m(1, 0), m(1, 0, 0))
+    assert glex_key(m(2, 0, 0)) > glex_key(m(1, 1, 0))
+    assert glex_key(m(1, 1, 0)) > glex_key(m(1, 0, 1))
+    assert glex_key(m(1, 0, 1)) > glex_key(m(0, 2, 0))
+    assert glex_key(m(1, 1, 1)) == glex_key(m(1, 1, 1))
+    assert glex_key(m(0, 2, 0)) < glex_key(m(1, 0, 1))
 
 
 def test_sorting_by_key():
@@ -135,7 +187,7 @@ def test_monomials_of_degree_counts_and_order():
             monos = monomials_of_degree(n, d)
             assert len(monos) == comb(n - 1 + d, n - 1)
             for a, b in zip(monos, monos[1:]):
-                assert glex_compare(a, b) == 1
+                assert glex_key(a) > glex_key(b)
 
 
 def test_glex_rank_and_unrank_match_master_list():

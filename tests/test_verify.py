@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexbs import ideal, verify
+from lexbs import betti, ideal, monomial, verify
 from lexbs.betti import BettiDiagram, ek_betti, mapping_cone_betti
 from lexbs.decompose import Decomposition, bs_decompose
 from lexbs.enumeration import CampaignConfig, enumerate_artinian_lex, run_campaign
@@ -23,7 +23,13 @@ from lexbs.ideal import (
     split_x,
     stable_violation,
 )
-from lexbs.monomial import Monomial, monomials_of_degree
+from lexbs.monomial import (
+    ek_split,
+    kept_rank,
+    monomials_of_degree,
+    quotients,
+    xfree_projection,
+)
 from lexbs.verify import (
     CHECKS,
     check_colon_prefix,
@@ -570,6 +576,47 @@ def test_lex_and_stability_decided_once_per_distinct_ideal(monkeypatch):
     # still decided by its own test: trusting lex would leave the lemmas
     # check's stability item nothing that could fail.
     assert set(enumerate_artinian_lex(5)) <= set(calls["stable_violation"])
+
+
+def _kept_values(u):
+    """What u keeps: its quotients, split, rank, shadow rank and x_1-free
+    projection, None where not yet found."""
+    return (u._quotients, u._split, *(u._kept or (None,) * 3))
+
+
+def test_each_kept_value_is_found_once_per_monomial(monkeypatch):
+    # New master lists, so the campaign starts from monomials keeping nothing.
+    monomials_of_degree.cache_clear()
+    found = Counter()
+    alive = []  # so no id is reused
+
+    def counting(keep, field):
+        def counted(u, *args):
+            k = field(*args)
+            before = _kept_values(u)[k]
+            value = keep(u, *args)
+            assert _kept_values(u)[k] is value
+            if before is None:
+                found[k, id(u)] += 1
+                alive.append(u)
+            return value
+
+        return counted
+
+    for keep, field in (
+        (quotients, lambda: 0),
+        (ek_split, lambda: 1),
+        (kept_rank, lambda up=0: 2 + up),
+        (xfree_projection, lambda: 4),
+    ):
+        counted = counting(keep, field)
+        for module in (monomial, ideal, betti, verify):
+            for name, obj in list(vars(module).items()):
+                if obj is keep:
+                    monkeypatch.setattr(module, name, counted)
+    run_campaign(CampaignConfig(max_deg=6))
+    assert {k for k, _ in found} == set(range(5))
+    assert max(found.values()) == 1, found.most_common(1)
 
 
 def _chains_read(max_deg):
