@@ -31,13 +31,12 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 from .betti import BettiDiagram, ek_betti, quotient_diagram
 from .decompose import bs_decompose, unit_normalized
 from .enumeration import CampaignConfig, run_campaign
 from .ideal import MonomialIdeal, UnitIdeal, format_ideal, minimalize
-from .monomial import _monomial
+from .monomial import _monomial, glex_walk
 from .pure import NotDecomposable
 from .verify import CHECKS, explain_chain
 
@@ -399,10 +398,7 @@ def _cmd_gen(args) -> int:
         _diag("error: the exponent must be at least 1")
         return 2
     terms = []
-    for combo in combinations_with_replacement(range(len(names)), args.degree):
-        counts = [0] * len(names)
-        for k in combo:
-            counts[k] += 1
+    for counts in glex_walk((args.degree,) + (0,) * (len(names) - 1)):
         parts = [
             names[k] if c == 1 else f"{names[k]}^{c}"
             for k, c in enumerate(counts)

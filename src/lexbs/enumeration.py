@@ -19,8 +19,8 @@ from collections.abc import Iterator
 from itertools import count, cycle
 from operator import itemgetter
 
-from .ideal import MonomialIdeal, _ideal, segment_shadow_size
-from .monomial import monomials_of_degree
+from .ideal import MonomialIdeal, _ideal
+from .monomial import kept_rank, monomials_of_degree
 from .verify import CHECKS
 
 
@@ -38,10 +38,11 @@ def enumerate_artinian_lex(
         raise ValueError("max_deg must be at least 1")
     masters = [monomials_of_degree(3, d) for d in range(max_deg + 1)]
     # shadows[d][t]: the size of the shadow in degree d + 1 of the first
-    # t monomials of degree d
+    # t monomials of degree d.  It is the initial segment ending in u * z
+    # for u the t-th monomial, so one more than the rank of u * z, which
+    # the lex test keeps on the same master monomials.
     shadows = [
-        [segment_shadow_size(3, d, t) for t in range(len(masters[d]) + 1)]
-        for d in range(max_deg)
+        [0] + [kept_rank(u, 1) + 1 for u in masters[d]] for d in range(max_deg)
     ]
     mine = cycle([i == k for i in range(shares)])
     yield from _walk(masters, shadows, mine, 1, 0, [])
@@ -134,16 +135,6 @@ class CampaignSummary(
     __slots__ = ()
 
 
-def _run_checks(ideal: MonomialIdeal, checks: tuple[str, ...]):
-    """Evaluate each named check on one ideal: one row
-    (check, status kind, verdict, witness) per check, in order."""
-    rows = []
-    for name in checks:
-        report = CHECKS[name](ideal)
-        rows.append((name, report.status_kind, report.verdict, report.witness))
-    return tuple(rows)
-
-
 def _check_share(max_deg: int, checks: tuple[str, ...], k: int, shares: int):
     """Worker body: build and check the ideals at positions k,
     k + shares, k + 2*shares, ... of the enumeration.
@@ -166,12 +157,14 @@ def _check_share(max_deg: int, checks: tuple[str, ...], k: int, shares: int):
     try:
         for position, ideal in zip(count(k, shares), ideals):
             counts["ideals"] += 1
-            for name, kind, verdict, witness in _run_checks(ideal, checks):
+            for name in checks:
+                report = CHECKS[name](ideal)
+                kind, verdict = report.status_kind, report.verdict
                 if kind not in ("vacuous", "excluded"):
                     kind = "passed" if verdict == "pass" else "failed"
                 counts[name, kind] += 1
                 if verdict == "fail":
-                    failures.append((position, name, repr(ideal), witness or ""))
+                    failures.append((position, name, repr(ideal), report.witness or ""))
     finally:
         if collecting:
             gc.enable()

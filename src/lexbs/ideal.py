@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import groupby, islice
 from math import comb
 from operator import attrgetter, contains as _has, le
 
@@ -24,7 +24,7 @@ from .monomial import (
     format_monomial,
     glex_key,
     glex_rank,
-    glex_unrank,
+    glex_walk,
     kept_rank,
     max_index,
     monomials_of_degree,
@@ -195,19 +195,6 @@ def contains(I: Ideal, u: Monomial) -> bool:
     return _divisible(u.exponents, I.gens)
 
 
-def _exponents_of_degree(n: int, d: int):
-    """Every degree-d exponent tuple in n variables, one at a time
-    (stars and bars: n - 1 bars among d + n - 1 places)."""
-    for bars in combinations(range(d + n - 1), n - 1):
-        e = []
-        prev = -1
-        for b in bars:
-            e.append(b - prev - 1)
-            prev = b
-        e.append(d + n - 2 - prev)
-        yield tuple(e)
-
-
 def _hilbert_function(I: MonomialIdeal):
     """d -> dim_k I_d, with the counting method chosen by is_stable(I).
 
@@ -221,7 +208,7 @@ def _hilbert_function(I: MonomialIdeal):
         cells = [(g.degree, n - max_index(g)) for g in I.gens]
         return lambda d: sum(comb(d - j + f, f) for j, f in cells if j <= d)
     return lambda d: sum(
-        1 for e in _exponents_of_degree(n, d) if _divisible(e, I.gens)
+        1 for e in glex_walk((d,) + (0,) * (n - 1)) if _divisible(e, I.gens)
     )
 
 
@@ -440,25 +427,15 @@ def xfree_part(L: MonomialIdeal):
     return ZeroIdeal(L.n - 1)
 
 
-def segment_shadow_size(n: int, d: int, t: int) -> int:
-    """Size of the shadow of the first t degree-d monomials in n vars.
-
-    The shadow of an initial segment is the initial segment ending in
-    m_t * x_n, where m_t is the segment's last monomial.
-    """
-    if t == 0:
-        return 0
-    return glex_rank(_times_last(glex_unrank(n, d, t - 1))) + 1
-
-
 def lexify(I: MonomialIdeal) -> MonomialIdeal:
     """The lex-segment ideal with the same Hilbert function as I.
 
     Degree d holds the initial segment of size hilbert_value(I, d); its
-    generators are the ranks from the shadow size of degree d-1 up to
-    that value.  The walk stops at the first degree above
-    max_gen_degree(I) that brings no generator: from there the shadow
-    already accounts for every Hilbert value (Gotzmann persistence).
+    generators are the monomials after the end of the shadow of degree
+    d-1, stepped through in glex order up to that size.  The loop stops
+    at the first degree above max_gen_degree(I) that brings no generator:
+    from there the shadow already accounts for every Hilbert value
+    (Gotzmann persistence).
     Lex-segment input is its own lexification and comes back as is.
     """
     if is_lex_segment(I):
@@ -466,7 +443,7 @@ def lexify(I: MonomialIdeal) -> MonomialIdeal:
     n = I.n
     hilbert = _hilbert_function(I)
     top = max_gen_degree(I)
-    # The walk always ends; the limit only stops a Hilbert function that
+    # The loop always ends; the limit only stops a Hilbert function that
     # is not one of an ideal.  It grows with the top generator degree D
     # like the classical (2D)^(2^(n-2)) bound on the degrees of a
     # Groebner basis: 4D^2 in three variables.
@@ -490,7 +467,14 @@ def lexify(I: MonomialIdeal) -> MonomialIdeal:
         if d > limit:
             raise RuntimeError("lexification did not stabilize")
         if t > s:
-            gens.extend(_monomial(glex_unrank(n, d, r), d) for r in range(s, t))
+            # Ranks s..t-1: from x_1^d when s = 0, and otherwise on from
+            # the shadow's end, whose rank is s - 1.
+            if s:
+                walk = glex_walk(last)
+                next(walk)
+            else:
+                walk = glex_walk((d,) + (0,) * (n - 1))
+            gens.extend(_monomial(e, d) for e in islice(walk, t - s))
             last = gens[-1].exponents
     return _ideal(n, gens)
 

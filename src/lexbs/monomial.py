@@ -11,7 +11,6 @@ aliases for x_1, x_2, x_3.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb
 from operator import attrgetter
 
@@ -169,16 +168,30 @@ def monomials_of_degree(n: int, d: int) -> tuple[Monomial, ...]:
         raise ValueError("need at least one variable")
     if d < 0:
         return ()
-    out = []
-    # Choose which of the d factors is each variable; multisets of
-    # {0..n-1} in lexicographically increasing order give exponent
-    # vectors in lex-descending order already.
-    for combo in combinations_with_replacement(range(n), d):
-        e = [0] * n
-        for k in combo:
-            e[k] += 1
-        out.append(Monomial(e))
-    return tuple(out)
+    return tuple(_monomial(e, d) for e in glex_walk((d,) + (0,) * (n - 1)))
+
+
+def glex_walk(e: tuple[int, ...]):
+    """Yield e, then every exponent tuple after it of the same degree,
+    glex-descending, down to x_n^d.
+
+    The successor of a tuple takes one off its last nonzero exponent
+    before x_n, at k, and moves the x_n exponent plus that one to k + 1;
+    the step is made in place on one list.
+    """
+    e = list(e)
+    last = len(e) - 1
+    while True:
+        yield tuple(e)
+        k = last - 1
+        while k >= 0 and not e[k]:
+            k -= 1
+        if k < 0:
+            return
+        e[k] -= 1
+        moved = e[last] + 1
+        e[last] = 0
+        e[k + 1] = moved
 
 
 def glex_rank(e: tuple[int, ...]) -> int:
@@ -201,34 +214,6 @@ def glex_rank(e: tuple[int, ...]) -> int:
         rank += comb(r - e[k] + m - 2, m - 1)
         r -= e[k]
     return rank
-
-
-def glex_unrank(n: int, d: int, rank: int) -> tuple[int, ...]:
-    """The exponent tuple at position rank among the degree-d monomials
-    in n variables, glex-descending; the inverse of glex_rank."""
-    if n < 1:
-        raise ValueError("need at least one variable")
-    if d < 0 or not 0 <= rank < comb(d + n - 1, n - 1):
-        raise ValueError(f"no degree-{d} monomial of rank {rank} in {n} variables")
-    e = []
-    r = d
-    for k in range(n - 1):
-        m = n - k
-        # comb(r - v + m - 2, m - 1) tuples have a larger exponent than
-        # v here; it shrinks as v grows, so bisect for the least v whose
-        # count does not exceed the rank.
-        lo, hi = 0, r
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if comb(r - mid + m - 2, m - 1) <= rank:
-                hi = mid
-            else:
-                lo = mid + 1
-        rank -= comb(r - lo + m - 2, m - 1)
-        e.append(lo)
-        r -= lo
-    e.append(r)
-    return tuple(e)
 
 
 VAR_LETTERS = ("x", "y", "z")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lexbs.betti import ek_betti, quotient_diagram
-from lexbs.enumeration import _run_checks, enumerate_artinian_lex
+from lexbs.enumeration import enumerate_artinian_lex
 from lexbs.ideal import MonomialIdeal, UnitIdeal, format_ideal, minimalize
 from lexbs.monomial import Monomial
 from lexbs.verify import CheckReport
@@ -421,7 +421,8 @@ def test_check_help_lists_every_law(capsys):
 def test_check_replays_campaign_rows(capsys, name):
     # Each campaign row is reproduced by `lexbs check <name> "<ideal>"`.
     for L in enumerate_artinian_lex(3):
-        [(_, kind, verdict, _)] = _run_checks(L, (name,))
+        report = verify.CHECKS[name](L)
+        kind, verdict = report.status_kind, report.verdict
         code, out, err = run(capsys, "check", name, format_ideal(L))
         fields = dict(line.split(": ", 1) for line in out.splitlines())
         assert fields["status"].split("(", 1)[0] == kind

@@ -29,7 +29,6 @@ from lexbs.ideal import (
     min_gen_degree,
     minimalize,
     monomials_at_degree,
-    segment_shadow_size,
     split_x,
     stable_violation,
     xfree_part,
@@ -486,7 +485,9 @@ def test_segment_shadow_size_matches_set_property(n, d, data):
         for e in (u.exponents for u in master[:t])
         for i in range(n)
     }
-    assert segment_shadow_size(n, d, t) == len(shadow)
+    # The size the enumerator reads: one more than the rank of u * x_n,
+    # for u the last monomial of the segment.
+    assert (kept_rank(master[t - 1], 1) + 1 if t else 0) == len(shadow)
 
 
 # Generators of degree <= 3 keep the lexification below degree ~40 in

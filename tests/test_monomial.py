@@ -11,7 +11,7 @@ from lexbs.monomial import (
     format_monomial,
     glex_key,
     glex_rank,
-    glex_unrank,
+    glex_walk,
     kept_rank,
     max_index,
     monomials_of_degree,
@@ -114,10 +114,10 @@ def test_kept_split_and_ranks_match_a_scan_property(e):
     assert ek_split(u) == (tuple(e[: m_u - 1]), e[m_u - 1])
     assert max_index(u) == m_u
     assert kept_rank(u) == glex_rank(tuple(e))
-    assert glex_unrank(n, d, kept_rank(u)) == tuple(e)
+    assert monomials_of_degree(n, d)[kept_rank(u)] == u
     shadow = tuple(e[:-1]) + (e[-1] + 1,)
     assert shadow_rank(u) == glex_rank(shadow)
-    assert glex_unrank(n, d + 1, shadow_rank(u)) == shadow
+    assert monomials_of_degree(n, d + 1)[shadow_rank(u)].exponents == shadow
     # Read again, the kept values answer the same.
     assert (max_index(u), kept_rank(u)) == (m_u, glex_rank(tuple(e)))
     if not e[0]:
@@ -190,21 +190,32 @@ def test_monomials_of_degree_counts_and_order():
                 assert glex_key(a) > glex_key(b)
 
 
-def test_glex_rank_and_unrank_match_master_list():
+def test_glex_rank_matches_master_list():
     for n in (1, 2, 3, 4):
         for d in range(0, 7):
             for r, u in enumerate(monomials_of_degree(n, d)):
                 assert glex_rank(u.exponents) == r
-                assert glex_unrank(n, d, r) == u.exponents
 
 
-def test_glex_unrank_range():
-    assert glex_unrank(3, 5000, 0) == (5000, 0, 0)
-    assert glex_unrank(3, 5000, 5001 * 5002 // 2 - 1) == (0, 0, 5000)
-    with pytest.raises(ValueError):
-        glex_unrank(3, 2, 6)
-    with pytest.raises(ValueError):
-        glex_unrank(3, 2, -1)
+def test_glex_walk_yields_the_rest_of_the_degree():
+    # From every monomial the walk runs through the rest of its degree in
+    # glex order, then stops.
+    for n in range(1, 6):
+        for d in range(0, 9):
+            master = [u.exponents for u in monomials_of_degree(n, d)]
+            for r, e in enumerate(master):
+                assert list(glex_walk(e)) == master[r:]
+
+
+def test_glex_walk_at_degree_5000():
+    walk = glex_walk((5000, 0, 0))
+    assert [next(walk) for _ in range(4)] == [
+        (5000, 0, 0),
+        (4999, 1, 0),
+        (4999, 0, 1),
+        (4998, 2, 0),
+    ]
+    assert list(glex_walk((0, 1, 4999))) == [(0, 1, 4999), (0, 0, 5000)]
 
 
 def test_monomials_of_degree_cached():
