@@ -24,7 +24,6 @@ from .ideal import (
     is_stable,
     lexify,
     minimalize,
-    monomials_at_degree,
     split_x,
 )
 from .betti import (

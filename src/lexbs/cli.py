@@ -26,6 +26,7 @@ generator list of (y, z)^8.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import re
 import sys
@@ -37,8 +38,12 @@ from .decompose import bs_decompose, unit_normalized
 from .enumeration import CampaignConfig, run_campaign
 from .ideal import MonomialIdeal, UnitIdeal, format_ideal, minimalize
 from .monomial import _monomial, glex_walk
-from .pure import NotDecomposable
 from .verify import CHECKS, explain_chain
+
+
+class _Refusal(Exception):
+    """An input or usage error: main writes the one stderr line it carries
+    and returns 2."""
 
 
 class IdealSyntaxError(ValueError):
@@ -234,45 +239,41 @@ def _diag(text: str):
     sys.stderr.write(text + "\n")
 
 
-def _parse_or_exit(text: str, n: int):
+def _ideal_arg(text: str, n: int):
     if n < 1:
-        _diag(f"error: --vars must be at least 1, got {n}")
-        raise SystemExit(2)
-    ideal = parse_ideal(text, n)
+        raise _Refusal(f"error: --vars must be at least 1, got {n}")
+    try:
+        ideal = parse_ideal(text, n)
+    except IdealSyntaxError as exc:
+        raise _Refusal(f"error: {exc}")
     if isinstance(ideal, UnitIdeal):
-        _diag(
+        raise _Refusal(
             "warning: a generator reduces to 1, so this is the unit ideal; "
             "nothing to do"
         )
-        raise SystemExit(2)
     return ideal
 
 
-def _diagram_or_exit(args) -> BettiDiagram:
+def _diagram_arg(args) -> BettiDiagram:
     """The Betti diagram of the ideal argument, or of R/I with --quotient;
-    a non-stable ideal exits 2 with the stability message."""
-    ideal = _parse_or_exit(args.ideal, args.vars)
+    a non-stable ideal is refused with the stability message."""
+    ideal = _ideal_arg(args.ideal, args.vars)
     try:
         diagram = ek_betti(ideal)
     except ValueError as exc:
-        _diag(f"error: {exc}")
-        raise SystemExit(2)
+        raise _Refusal(f"error: {exc}")
     return quotient_diagram(diagram) if args.quotient else diagram
 
 
 def _cmd_betti(args) -> int:
-    for line in _betti_lines(_diagram_or_exit(args)):
+    for line in _betti_lines(_diagram_arg(args)):
         _emit(line)
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    diagram = _diagram_or_exit(args)
-    try:
-        dec = bs_decompose(diagram)
-    except NotDecomposable as exc:
-        _diag(f"error: not decomposable: {exc}")
-        return 2
+    # A module's diagram always peels: a failure is a fault in lexbs, exit 3.
+    dec = bs_decompose(_diagram_arg(args))
     summands = unit_normalized(dec) if args.norm == "unit" else dec.summands
     for coeff, seq in summands:
         _emit(render_summand(coeff, seq, machine=args.machine))
@@ -280,7 +281,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    ideal = _parse_or_exit(args.ideal, args.vars)
+    ideal = _ideal_arg(args.ideal, args.vars)
     report = CHECKS[args.property](ideal)
     _emit(f"ideal: {format_ideal(ideal)}")
     _emit(f"status: {report.status}")
@@ -301,12 +302,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    ideal = _parse_or_exit(args.ideal, args.vars)
+    ideal = _ideal_arg(args.ideal, args.vars)
     try:
         report = explain_chain(ideal)
     except ValueError as exc:
-        _diag(f"error: {exc}")
-        return 2
+        raise _Refusal(f"error: {exc}")
     _emit(f"ideal: {format_ideal(ideal)}")
     _emit("chain:")
     for coeff, seq, sources in report.tagged:
@@ -328,8 +328,7 @@ def _cmd_enumerate(args) -> int:
             max_deg=args.max_deg, checks=checks, parallelism=args.jobs
         )
     except ValueError as exc:
-        _diag(f"error: {exc}")
-        return 2
+        raise _Refusal(f"error: {exc}")
     summary = run_campaign(config)
     if args.machine:
         _emit(f"ideals\t{summary.total_ideals}")
@@ -372,31 +371,25 @@ def _variable_key(name: str):
 
 def _cmd_gen(args) -> int:
     if args.what != "power-ideal":
-        _diag(f"error: unknown generator {args.what!r}")
-        return 2
+        raise _Refusal(f"error: unknown generator {args.what!r}")
     names = [v.strip() for v in args.variables.split(",")]
     if not any(names):
-        _diag("error: no variables given")
-        return 2
+        raise _Refusal("error: no variables given")
     keys = []
     for name in names:
         key = _variable_key(name)
         if key is None:
-            _diag(
+            raise _Refusal(
                 f"error: {name!r} is not a variable name "
                 "(use x, y, z, or x1, x2, ...)"
             )
-            return 2
         keys.append(key)
     if len({indexed for indexed, _ in keys}) > 1:
-        _diag("error: x, y, z and x1, x2, ... cannot be mixed")
-        return 2
+        raise _Refusal("error: x, y, z and x1, x2, ... cannot be mixed")
     if len(set(keys)) != len(keys):
-        _diag("error: repeated variable name")
-        return 2
+        raise _Refusal("error: repeated variable name")
     if args.degree < 1:
-        _diag("error: the exponent must be at least 1")
-        return 2
+        raise _Refusal("error: the exponent must be at least 1")
     terms = []
     for counts in glex_walk((args.degree,) + (0,) * (len(names) - 1)):
         parts = [
@@ -512,6 +505,13 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    stdout = sys.stdout
+    if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        # Unbuffered, a write the reader cut off returns short and the text
+        # layer drops the rest; a BufferedWriter retries: BrokenPipeError.
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(stdout.buffer), stdout.encoding, stdout.errors
+        )
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -526,18 +526,16 @@ def main(argv=None) -> int:
             return 141
         os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return 141
-    except IdealSyntaxError as exc:
-        _diag(f"error: {exc}")
+    except _Refusal as exc:
+        _diag(str(exc))
         return 2
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
     except Exception as exc:
         # A fault in lexbs, not a finding: exit 1 means a counterexample.
         detail = " ".join(str(exc).split())  # one line whatever the message
         _diag(f"error: internal error: {type(exc).__name__}: {detail}")
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    finally:
+        if sys.stdout is not stdout:
+            # Detach both layers, not close: fd 1 stays open.
+            sys.stdout.detach().detach()
+            sys.stdout = stdout

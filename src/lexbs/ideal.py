@@ -223,23 +223,15 @@ def hilbert_value(I: Ideal, d: int) -> int:
     return _hilbert_function(I)(d)
 
 
-# maxsize=0 stores nothing: the wrapper is kept for its call counter,
-# which perfbench/tracing.py reads through cache_info().
+# Nothing in lexbs calls this.  It stays only because perfbench/tracing.py
+# reads its cache_info() (maxsize=0 stores nothing but keeps the counter),
+# and leaves with the benchmark change that drops those rows.
 @lru_cache(maxsize=0)
 def _members(I: MonomialIdeal, d: int) -> tuple[Monomial, ...]:
     """The degree-d monomials of I, glex-descending, by divisibility."""
     return tuple(
         u for u in monomials_of_degree(I.n, d) if _divisible(u.exponents, I.gens)
     )
-
-
-def monomials_at_degree(I: Ideal, d: int) -> tuple[Monomial, ...]:
-    """The degree-d monomials of I, glex-descending."""
-    if isinstance(I, UnitIdeal):
-        return monomials_of_degree(I.n, d)
-    if isinstance(I, ZeroIdeal):
-        return ()
-    return _members(I, d)
 
 
 def _times_last(e: tuple[int, ...], k: int = 1) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ from lexbs.betti import ek_betti, quotient_diagram
 from lexbs.enumeration import enumerate_artinian_lex
 from lexbs.ideal import MonomialIdeal, UnitIdeal, format_ideal, minimalize
 from lexbs.monomial import Monomial
+from lexbs.pure import NotDecomposable
 from lexbs.verify import CheckReport
 
 import lexbs
@@ -592,6 +593,97 @@ def test_unexpected_error_exit_code(capsys, monkeypatch):
     assert err == "error: internal error: RuntimeError: injected fault\n"
 
 
+# Every input or usage refusal: exit 2, nothing on stdout and exactly one
+# line on stderr, returned by main rather than raised out of it.
+REFUSALS = [
+    (("betti", "x", "--vars", "0"), "error: --vars must be at least 1, got 0"),
+    (("decompose", "x", "--vars", "-2"), "error: --vars must be at least 1, got -2"),
+    (
+        ("betti", "1, x"),
+        "warning: a generator reduces to 1, so this is the unit ideal; "
+        "nothing to do",
+    ),
+    (
+        ("check", "thm1", "1"),
+        "warning: a generator reduces to 1, so this is the unit ideal; "
+        "nothing to do",
+    ),
+    (
+        ("betti", "xz"),
+        "error: ideal is not stable: generator x*z needs x_1*x*z/x_3 = x^2 "
+        "in the ideal",
+    ),
+    (
+        ("decompose", "x^2, x*z, y"),
+        "error: ideal is not stable: generator y needs x_1*y/x_2 = x "
+        "in the ideal",
+    ),
+    (
+        ("explain", "x^2, xy, y^2"),
+        "error: provenance annotation needs a lex-segment ideal",
+    ),
+    (
+        ("explain", "x1, x2", "--vars", "4"),
+        "error: provenance annotation needs a 3-variable ideal",
+    ),
+    (("explain", "x, y"), "error: provenance annotation needs an Artinian quotient"),
+    (
+        ("betti", "(y,z)^8"),
+        "error: syntax error at byte 5: powers of ideals are not supported; "
+        "expand the generators (try `lexbs gen power-ideal`)",
+    ),
+    (
+        ("enumerate", "--max-deg", "2", "--checks", "thm3"),
+        "error: unknown checks: thm3 "
+        "(available: thm1, thm2, conjecture, ek_vs_cone, bhp, lemmas)",
+    ),
+    (
+        ("enumerate", "--max-deg", "2", "--checks", ""),
+        "error: empty check name in ''",
+    ),
+    (
+        ("enumerate", "--max-deg", "2", "--checks", "bhp,bhp"),
+        "error: checks named more than once: bhp",
+    ),
+    (("enumerate", "--max-deg", "0"), "error: max_deg must be at least 1"),
+    (
+        ("enumerate", "--max-deg", "2", "--jobs", "0"),
+        "error: parallelism must be at least 1",
+    ),
+    (("gen", "laurent", "y,z", "2"), "error: unknown generator 'laurent'"),
+    (("gen", "power-ideal", ",", "2"), "error: no variables given"),
+    (
+        ("gen", "power-ideal", "q,w", "2"),
+        "error: 'q' is not a variable name (use x, y, z, or x1, x2, ...)",
+    ),
+    (
+        ("gen", "power-ideal", "x,x2", "2"),
+        "error: x, y, z and x1, x2, ... cannot be mixed",
+    ),
+    (("gen", "power-ideal", "y,y", "2"), "error: repeated variable name"),
+    (("gen", "power-ideal", "y,z", "0"), "error: the exponent must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("argv, line", REFUSALS)
+def test_refusal_is_one_stderr_line_and_exit_2(capsys, argv, line):
+    assert run(capsys, *argv) == (2, "", line + "\n")
+
+
+def test_a_diagram_that_does_not_peel_is_a_fault(capsys, monkeypatch):
+    # decompose peels only Betti diagrams of modules, which always peel;
+    # a failure there is a fault in lexbs, not an input error.
+    def broken(diagram):
+        raise NotDecomposable("x")
+
+    monkeypatch.setattr(cli, "bs_decompose", broken)
+    assert run(capsys, "decompose", QUADRIC_TEXT) == (
+        3,
+        "",
+        "error: internal error: NotDecomposable: x\n",
+    )
+
+
 # ------------------------------------------------------ any text at all
 
 # Texts that argparse would not read as options, drawn from any character
@@ -749,16 +841,23 @@ def _python(*args):
     )
 
 
-def test_reader_closing_stdout_is_a_quiet_exit():
+@pytest.mark.parametrize(
+    "flags, unbuffered",
+    [((), None), ((), "1"), (("-u",), None)],
+    ids=["buffered", "PYTHONUNBUFFERED", "-u"],
+)
+def test_reader_closing_stdout_is_a_quiet_exit(flags, unbuffered):
     # `lexbs ... | head -1`.  The one 78 KB line does not fit in a 64 KB
     # pipe buffer, so the write is still blocked when the reader closes
-    # after one byte, and the pipe breaks on every run.  The child keeps
-    # Python's default buffering: unbuffered, a single write that the
-    # reader cut short reports the bytes that got through, not an error.
+    # after one byte, and the pipe breaks on every run.  Unbuffered
+    # (PYTHONUNBUFFERED or -u), that write comes back short rather than
+    # failing, and must still end in the same quiet exit.
     env = _env()
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     child = subprocess.Popen(
-        [sys.executable, "-m", "lexbs", "gen", "power-ideal", "x,y,z", "100"],
+        [sys.executable, *flags, "-m", "lexbs", "gen", "power-ideal", "x,y,z", "100"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,

@@ -28,7 +28,6 @@ from lexbs.ideal import (
     max_gen_degree,
     min_gen_degree,
     minimalize,
-    monomials_at_degree,
     split_x,
     stable_violation,
     xfree_part,
@@ -153,20 +152,6 @@ def test_contains_matches_divisibility_oracle():
         for d in range(0, max_gen_degree(I) + 3):
             for u in monomials_of_degree(3, d):
                 assert contains(I, u) == _contains_by_divisibility(I, u)
-
-
-def test_monomials_at_degree():
-    I = minimalize([m(1, 0, 0), m(0, 1, 0)])
-    assert monomials_at_degree(I, 2) == (
-        m(2, 0, 0),
-        m(1, 1, 0),
-        m(1, 0, 1),
-        m(0, 2, 0),
-        m(0, 1, 1),
-    )
-    assert monomials_at_degree(I, 0) == ()
-    assert monomials_at_degree(ZeroIdeal(3), 4) == ()
-    assert len(monomials_at_degree(UnitIdeal(3), 2)) == 6
 
 
 def test_hilbert_value_counts():
