@@ -294,11 +294,7 @@ def _cmd_check(args) -> int:
                 render_summand(c, s) for c, s in report.details[key]
             )
             _emit(f"{key.replace('_', ' ')}: [{rendered}]")
-    if report.failed:
-        return 1
-    if report.status_kind == "excluded":
-        return 2
-    return 0
+    return {"failed": 1, "excluded": 2}.get(report.outcome, 0)
 
 
 def _cmd_explain(args) -> int:
@@ -390,15 +386,19 @@ def _cmd_gen(args) -> int:
         raise _Refusal("error: repeated variable name")
     if args.degree < 1:
         raise _Refusal("error: the exponent must be at least 1")
-    terms = []
+    # Written term by term, so the output is never held whole in memory
+    # and a reader that closes early ends the run at once.
+    write = sys.stdout.write
+    sep = ""
     for counts in glex_walk((args.degree,) + (0,) * (len(names) - 1)):
         parts = [
             names[k] if c == 1 else f"{names[k]}^{c}"
             for k, c in enumerate(counts)
             if c > 0
         ]
-        terms.append("*".join(parts))
-    _emit(", ".join(terms))
+        write(sep + "*".join(parts))
+        sep = ", "
+    write("\n")
     return 0
 
 

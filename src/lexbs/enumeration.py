@@ -45,11 +45,12 @@ def enumerate_artinian_lex(
         [0] + [kept_rank(u, 1) + 1 for u in masters[d]] for d in range(max_deg)
     ]
     mine = cycle([i == k for i in range(shares)])
-    yield from _walk(masters, shadows, mine, 1, 0, [])
+    yield from _walk(masters, shadows, mine, 1, 0, ())
 
 
-def _walk(masters, shadows, mine, d: int, prev_t: int, gens: list):
-    """The ideals with generators gens below degree d, whose degree d - 1
+def _walk(masters, shadows, mine, d: int, prev_t: int, gens: tuple):
+    """The ideals with generators gens below degree d (glex-descending:
+    each degree's slice goes ahead of the lower ones), whose degree d - 1
     piece holds the first prev_t monomials.  Not a closure calling itself:
     that would be a reference cycle, which only the cyclic collector frees."""
     master = masters[d]
@@ -57,13 +58,10 @@ def _walk(masters, shadows, mine, d: int, prev_t: int, gens: list):
     if d == len(masters) - 1:
         # Minimal by construction: no slice meets the shadow below it.
         if next(mine):
-            yield _ideal(3, [*gens, *master[lower:]])
+            yield _ideal(3, master[lower:] + gens)
         return
     for t in range(lower, len(master) + 1):
-        new_gens = master[lower:t]
-        gens.extend(new_gens)
-        yield from _walk(masters, shadows, mine, d + 1, t, gens)
-        del gens[len(gens) - len(new_gens) :]
+        yield from _walk(masters, shadows, mine, d + 1, t, master[lower:t] + gens)
 
 
 class CampaignConfig(
@@ -128,8 +126,9 @@ class CampaignSummary(
     """Aggregated campaign outcome.
 
     `stats` maps each check to its CheckStats; `witnesses` lists (check,
-    ideal, witness) for every failure, in enumeration order; `exit_code`
-    is 1 exactly when a check other than `conjecture` failed somewhere.
+    ideal, witness) for every report counted as failed, in enumeration
+    order; `exit_code` is 1 exactly when a check other than `conjecture`
+    failed somewhere.
     """
 
     __slots__ = ()
@@ -159,11 +158,8 @@ def _check_share(max_deg: int, checks: tuple[str, ...], k: int, shares: int):
             counts["ideals"] += 1
             for name in checks:
                 report = CHECKS[name](ideal)
-                kind, verdict = report.status_kind, report.verdict
-                if kind not in ("vacuous", "excluded"):
-                    kind = "passed" if verdict == "pass" else "failed"
-                counts[name, kind] += 1
-                if verdict == "fail":
+                counts[name, report.outcome] += 1
+                if report.outcome == "failed":
                     failures.append((position, name, repr(ideal), report.witness or ""))
     finally:
         if collecting:

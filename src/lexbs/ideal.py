@@ -195,32 +195,31 @@ def contains(I: Ideal, u: Monomial) -> bool:
     return _divisible(u.exponents, I.gens)
 
 
-def _hilbert_function(I: MonomialIdeal):
-    """d -> dim_k I_d, with the counting method chosen by is_stable(I).
+def hilbert_value(I: Ideal, d: int) -> int:
+    """dim_k of the degree-d graded piece of I, counted as is_stable(I)
+    allows.
 
     On stable input every degree-d monomial of I is u * v for exactly one
     generator u and one v in the variables x_m(u)..x_n (Eliahou-Kervaire),
     so u contributes binomial(d - deg u + n - m(u), n - m(u)).  Other input
     is counted tuple by tuple through divisibility.
     """
-    n = I.n
-    if is_stable(I):
-        cells = [(g.degree, n - max_index(g)) for g in I.gens]
-        return lambda d: sum(comb(d - j + f, f) for j, f in cells if j <= d)
-    return lambda d: sum(
-        1 for e in glex_walk((d,) + (0,) * (n - 1)) if _divisible(e, I.gens)
-    )
-
-
-def hilbert_value(I: Ideal, d: int) -> int:
-    """dim_k of the degree-d graded piece of I."""
     if d < 0:
         return 0
     if isinstance(I, UnitIdeal):
         return comb(d + I.n - 1, I.n - 1)
     if isinstance(I, ZeroIdeal):
         return 0
-    return _hilbert_function(I)(d)
+    n = I.n
+    if is_stable(I):
+        return sum(
+            comb(d - g.degree + n - max_index(g), n - max_index(g))
+            for g in I.gens
+            if g.degree <= d
+        )
+    return sum(
+        1 for e in glex_walk((d,) + (0,) * (n - 1)) if _divisible(e, I.gens)
+    )
 
 
 # Nothing in lexbs calls this.  It stays only because perfbench/tracing.py
@@ -433,7 +432,6 @@ def lexify(I: MonomialIdeal) -> MonomialIdeal:
     if is_lex_segment(I):
         return I
     n = I.n
-    hilbert = _hilbert_function(I)
     top = max_gen_degree(I)
     # The loop always ends; the limit only stops a Hilbert function that
     # is not one of an ideal.  It grows with the top generator degree D
@@ -450,7 +448,7 @@ def lexify(I: MonomialIdeal) -> MonomialIdeal:
         else:
             last = _times_last(last)
             s = glex_rank(last) + 1
-        t = hilbert(d)
+        t = hilbert_value(I, d)
         if t < s:
             # Cannot happen for an actual Hilbert function of an ideal.
             raise RuntimeError("Hilbert values shrink below the shadow bound")

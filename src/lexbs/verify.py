@@ -74,10 +74,14 @@ class CheckReport:
     The status reads "kind" or "kind(reason)".  A check may give it as a
     pair (kind, word) instead, where word() words the reason: the text is
     then worded on the first read of `status` and kept, so a campaign,
-    which reads only `status_kind`, never words it.
+    which reads only `outcome`, never words it.  `outcome` is what the
+    report counts as: a vacuous or excluded status counts as its kind even
+    where a comparison ran, and otherwise the verdict decides between
+    passed and failed.
     """
 
-    __slots__ = ("ideal", "_status", "verdict", "witness", "details")
+    __slots__ = ("ideal", "_status", "status_kind", "outcome", "verdict",
+                 "witness", "details")
 
     def __init__(
         self,
@@ -89,6 +93,12 @@ class CheckReport:
     ):
         self.ideal = ideal
         self._status = status
+        kind = status[0] if isinstance(status, tuple) else status.split("(", 1)[0]
+        self.status_kind = kind
+        if kind in ("vacuous", "excluded"):
+            self.outcome = kind
+        else:
+            self.outcome = "passed" if verdict == "pass" else "failed"
         self.verdict = verdict
         self.witness = witness
         self.details = {} if details is None else details
@@ -100,17 +110,6 @@ class CheckReport:
             kind, word = self._status
             self._status = f"{kind}({word()})"
         return self._status
-
-    @property
-    def status_kind(self) -> str:
-        """The status without its parenthesized reason."""
-        if isinstance(self._status, tuple):
-            return self._status[0]
-        return self._status.split("(", 1)[0]
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict == "fail"
 
 
 def _report(L, status, witness: str | None, details: dict) -> CheckReport:

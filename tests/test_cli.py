@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from fractions import Fraction as F
 from math import comb
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lexbs.betti import ek_betti, quotient_diagram
+from lexbs.decompose import Decomposition
 from lexbs.enumeration import enumerate_artinian_lex
 from lexbs.ideal import MonomialIdeal, UnitIdeal, format_ideal, minimalize
 from lexbs.monomial import Monomial
@@ -428,7 +431,58 @@ def test_check_replays_campaign_rows(capsys, name):
         fields = dict(line.split(": ", 1) for line in out.splitlines())
         assert fields["status"].split("(", 1)[0] == kind
         assert fields["verdict"] == (verdict or "(nothing checked)")
-        assert code == (1 if verdict == "fail" else 2 if kind == "excluded" else 0)
+        # The status decides first: a comparison that ran under an excluded
+        # or vacuous status is no counterexample.
+        expected = {"excluded": 2, "vacuous": 0}.get(kind, int(verdict == "fail"))
+        assert code == expected
+
+
+def _family_tails_disagree(max_deg):
+    """Append a short summand to the chain of each member of the family
+    x*(x, y, z^t) + J with generators in degrees <= max_deg, so that its
+    tail disagrees with that of (L, x); return the members.  Only the
+    members' own chains change: (L, x) = (x) + J is also that of ideals
+    outside the family, whose thm2 comparison must still pass."""
+    members = [
+        L
+        for L in enumerate_artinian_lex(max_deg)
+        if isinstance(verify.classify_excluded_family(L), tuple)
+    ]
+    for L in members:
+        facts = verify.facts_of(L)
+        facts._chain = Decomposition(facts.chain.summands + ((F(1), (99,)),))
+    return members
+
+
+def test_excluded_failed_comparison_is_no_counterexample(capsys):
+    # thm2 excludes the family, so a tail that disagrees there is evidence
+    # about the conjecture, not a counterexample to thm2: `check thm2`
+    # exits 2 and still shows the comparison, `check conjecture` exits 1.
+    members = _family_tails_disagree(5)
+    assert len(members) == 4
+    witnesses = [verify.CHECKS["conjecture"](L).witness for L in members]
+    assert all(w.startswith("tail lengths differ: ") for w in witnesses)
+    text = format_ideal(members[0])
+    code, out, err = run(capsys, "check", "thm2", text)
+    assert (code, err) == (2, "")
+    assert {"verdict: fail", f"witness: {witnesses[0]}"} <= set(out.splitlines())
+    code, out, err = run(capsys, "check", "conjecture", text)
+    assert (code, err) == (1, "")
+    assert {"verdict: fail", f"witness: {witnesses[0]}"} <= set(out.splitlines())
+    # The campaign counts each report once, under its outcome, and lists
+    # a witness row only for a failed outcome.
+    code, out, err = run(
+        capsys, "enumerate", "--max-deg", "5", "--checks", "thm2,conjecture",
+        "--machine",
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:3] == [
+        "ideals\t202", "thm2\t167\t0\t31\t4", "conjecture\t0\t4\t0\t198"
+    ]
+    assert lines[3:] == [
+        f"witness\tconjecture\t{L!r}\t{w}" for L, w in zip(members, witnesses)
+    ]
 
 
 @pytest.mark.parametrize("name", ["ek_vs_cone", "lemmas"])
@@ -542,6 +596,23 @@ def test_gen_power_ideal(capsys):
         assert len(parse_ideal(out.strip(), n).gens) == comb(r + 2, r - 1)
         code, _, err = run(capsys, "betti", out.strip(), "--vars", str(n))
         assert "syntax error" not in err
+
+
+def test_gen_streams_its_terms(monkeypatch):
+    # The 45,451 terms of (x, y, z)^300 (about 0.8 MB) go out one by one,
+    # so the run holds next to none of them at once.  Degree 300 keeps the
+    # traced run short; the peak does not grow with the degree.
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        main(["gen", "power-ideal", "x", "1"])  # warm-up: the parser
+        tracemalloc.start()
+        try:
+            code = main(["gen", "power-ideal", "x,y,z", "300"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1024 * 1024
 
 
 def test_gen_errors(capsys):
@@ -848,7 +919,7 @@ def _python(*args):
 )
 def test_reader_closing_stdout_is_a_quiet_exit(flags, unbuffered):
     # `lexbs ... | head -1`.  The one 78 KB line does not fit in a 64 KB
-    # pipe buffer, so the write is still blocked when the reader closes
+    # pipe buffer, so a write is still blocked when the reader closes
     # after one byte, and the pipe breaks on every run.  Unbuffered
     # (PYTHONUNBUFFERED or -u), that write comes back short rather than
     # failing, and must still end in the same quiet exit.

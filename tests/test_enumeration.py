@@ -16,11 +16,13 @@ import os
 import signal
 import time
 import tracemalloc
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lexbs.verify as verify
 from lexbs.enumeration import (
@@ -161,6 +163,39 @@ def test_shares_compose_in_enumeration_order(monkeypatch, shares):
         if len(L.gens) % 2
     ]
     assert merged.exit_code == serial.exit_code == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    max_deg=st.integers(1, 5),
+    kinds=st.tuples(*[st.sampled_from(["applicable", "vacuous", "excluded"])] * 3),
+    shares=st.integers(1, 3),
+)
+def test_witness_rows_are_the_failed_counts(max_deg, kinds, shares):
+    # _odd_fails, and _odd_fails under a status chosen by the number of
+    # generators mod 3: a comparison that fails under a vacuous or excluded
+    # status counts as that kind, and only a failed outcome lists a row.
+    def under_status(ideal):
+        report = _odd_fails(ideal)
+        kind = kinds[len(ideal.gens) % 3]
+        return verify.CheckReport(ideal, kind, report.verdict, report.witness)
+
+    checks = ("thm2", "odd", "under_status")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(verify.CHECKS, "odd", _odd_fails)
+        patch.setitem(verify.CHECKS, "under_status", under_status)
+        summary = _merge(
+            [_check_share(max_deg, checks, k, shares) for k in range(shares)],
+            checks,
+        )
+    rows = Counter(name for name, _, _ in summary.witnesses)
+    for name in checks:
+        assert rows[name] == summary.stats[name].failed
+    odd = [L for L in enumerate_artinian_lex(max_deg) if len(L.gens) % 2]
+    assert rows["odd"] == len(odd)
+    assert rows["under_status"] == sum(
+        kinds[len(L.gens) % 3] == "applicable" for L in odd
+    )
 
 
 def test_campaign_parallel_matches_serial(monkeypatch):
