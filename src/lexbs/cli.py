@@ -36,7 +36,7 @@ from functools import lru_cache
 from .betti import BettiDiagram, ek_betti, quotient_diagram
 from .decompose import bs_decompose, unit_normalized
 from .enumeration import CampaignConfig, run_campaign
-from .ideal import MonomialIdeal, UnitIdeal, format_ideal, minimalize
+from .ideal import UnitIdeal, format_ideal, minimalize
 from .monomial import _monomial, glex_walk
 from .verify import CHECKS, explain_chain
 
@@ -246,6 +246,8 @@ def _ideal_arg(text: str, n: int):
         ideal = parse_ideal(text, n)
     except IdealSyntaxError as exc:
         raise _Refusal(f"error: {exc}")
+    except (OverflowError, MemoryError):
+        raise _Refusal(f"error: --vars {n} is too large")
     if isinstance(ideal, UnitIdeal):
         raise _Refusal(
             "warning: a generator reduces to 1, so this is the unit ideal; "

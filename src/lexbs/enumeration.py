@@ -16,11 +16,11 @@ from __future__ import annotations
 import os
 from collections import Counter, namedtuple
 from collections.abc import Iterator
-from itertools import count, cycle
+from itertools import count, islice
 from operator import itemgetter
 
 from .ideal import MonomialIdeal, _ideal
-from .monomial import kept_rank, monomials_of_degree
+from .monomial import monomials_of_degree, shadow_size
 from .verify import CHECKS
 
 
@@ -32,36 +32,28 @@ def enumerate_artinian_lex(
     deterministic order (lexicographic in the segment-size vectors).
 
     With shares > 1, yield only the ideals at positions k, k + shares,
-    k + 2*shares, ... of that order; the others are never built.
+    k + 2*shares, ... of that order; the others cost a tuple, not an ideal.
     """
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
     masters = [monomials_of_degree(3, d) for d in range(max_deg + 1)]
-    # shadows[d][t]: the size of the shadow in degree d + 1 of the first
-    # t monomials of degree d.  It is the initial segment ending in u * z
-    # for u the t-th monomial, so one more than the rank of u * z, which
-    # the lex test keeps on the same master monomials.
-    shadows = [
-        [0] + [kept_rank(u, 1) + 1 for u in masters[d]] for d in range(max_deg)
-    ]
-    mine = cycle([i == k for i in range(shares)])
-    yield from _walk(masters, shadows, mine, 1, 0, ())
-
-
-def _walk(masters, shadows, mine, d: int, prev_t: int, gens: tuple):
-    """The ideals with generators gens below degree d (glex-descending:
-    each degree's slice goes ahead of the lower ones), whose degree d - 1
-    piece holds the first prev_t monomials.  Not a closure calling itself:
-    that would be a reference cycle, which only the cyclic collector frees."""
-    master = masters[d]
-    lower = shadows[d - 1][prev_t]
-    if d == len(masters) - 1:
+    for gens in islice(_walk(masters, 1, 0, ()), k, None, shares):
         # Minimal by construction: no slice meets the shadow below it.
-        if next(mine):
-            yield _ideal(3, master[lower:] + gens)
+        yield _ideal(3, gens)
+
+
+def _walk(masters, d: int, prev_t: int, gens: tuple):
+    """Generator tuples of the ideals with gens below degree d (each
+    degree's slice goes ahead of the lower ones), whose degree d - 1 piece
+    holds the first prev_t monomials.  Not a closure calling itself: that
+    would be a reference cycle, which only the cyclic collector frees."""
+    master = masters[d]
+    lower = shadow_size(masters[d - 1][prev_t - 1]) if prev_t else 0
+    if d == len(masters) - 1:
+        yield master[lower:] + gens
         return
     for t in range(lower, len(master) + 1):
-        yield from _walk(masters, shadows, mine, d + 1, t, master[lower:t] + gens)
+        yield from _walk(masters, d + 1, t, master[lower:t] + gens)
 
 
 class CampaignConfig(

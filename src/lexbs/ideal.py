@@ -29,6 +29,7 @@ from .monomial import (
     max_index,
     monomials_of_degree,
     quotients,
+    shadow_size,
     xfree_projection,
 )
 
@@ -263,8 +264,8 @@ def _initial_segments(I: MonomialIdeal) -> bool:
     Above the last generator degree shadows keep the pieces initial.
     Distinct generators of one degree have strictly rising ranks, so
     they are s, s+1, ... exactly when the first and the last are.  The
-    ranks of the generators that end a band, and of u * x_n for the u
-    that ends it when the next band is one degree up, are kept on them.
+    ranks of the generators that end a band, and shadow_size(u) for the
+    u that ends it when the next band is one degree up, are kept on them.
     """
     last = None  # the generator ending the current initial segment
     # Reversed: by ascending degree, and in a degree by falling rank.
@@ -273,7 +274,7 @@ def _initial_segments(I: MonomialIdeal) -> bool:
         if last is None:
             start = 0
         elif d == last.degree + 1:
-            start = kept_rank(last, 1) + 1
+            start = shadow_size(last)
         else:
             start = glex_rank(_times_last(last.exponents, d - last.degree)) + 1
         if kept_rank(band[-1]) != start or kept_rank(band[0]) != start + len(band) - 1:

@@ -20,25 +20,24 @@ class Monomial:
 
     The number of variables is the length of the tuple.  Operations that
     combine two monomials require equal lengths and raise ValueError on a
-    mismatch rather than guessing an embedding.  Three slots keep what is
-    derived from the exponents alone, None until first use: ``_quotients``
-    holds :func:`quotients`, ``_split`` :func:`ek_split`, which the
-    kernels read most, and ``_kept`` the list of the two ranks that
-    :func:`kept_rank` finds and the projection of :func:`xfree_projection`.
-    Equality, hash, repr and pickling read the exponents alone.
+    mismatch rather than guessing an embedding.  One slot per value
+    derived from the exponents alone keeps it, None until first use:
+    ``_quotients`` holds :func:`quotients`, ``_split`` :func:`ek_split`,
+    ``_rank`` :func:`kept_rank`, ``_shadow`` :func:`shadow_size` and
+    ``_proj`` :func:`xfree_projection`.  Equality, hash, repr and
+    pickling read the exponents alone.
     """
 
-    __slots__ = ("exponents", "degree", "_quotients", "_split", "_kept")
+    __slots__ = ("exponents", "degree", "_quotients", "_split", "_rank",
+                 "_shadow", "_proj")
 
-    def __init__(self, exponents):
+    def __new__(cls, exponents):
         exps = tuple(int(e) for e in exponents)
         if not exps:
             raise ValueError("a monomial needs at least one variable")
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps!r}")
-        self.exponents = exps
-        self.degree = sum(exps)
-        self._quotients = self._split = self._kept = None
+        return _monomial(exps, sum(exps))
 
     @property
     def nvars(self) -> int:
@@ -59,12 +58,12 @@ class Monomial:
 
 def _monomial(exponents: tuple[int, ...], degree: int) -> Monomial:
     """The Monomial of an exponent tuple of nonnegative ints summing to
-    degree, without the constructor's checks: for tuples derived from
-    monomials that were already built."""
+    degree, without the constructor's checks, which end here: for tuples
+    derived from monomials that were already built."""
     u = object.__new__(Monomial)
     u.exponents = exponents
     u.degree = degree
-    u._quotients = u._split = u._kept = None
+    u._quotients = u._split = u._rank = u._shadow = u._proj = None
     return u
 
 
@@ -93,27 +92,27 @@ def ek_split(u: Monomial) -> tuple[tuple[int, ...], int]:
     return u._split
 
 
-def kept_rank(u: Monomial, up: int = 0) -> int:
-    """glex_rank of u, or with up = 1 of u * x_n, found on the first call
-    for u and kept on it."""
-    kept = u._kept
-    if kept is None:
-        kept = u._kept = [None, None, None]
-    if kept[up] is None:
-        e = u.exponents
-        kept[up] = glex_rank(e[:-1] + (e[-1] + 1,) if up else e)
-    return kept[up]
+def kept_rank(u: Monomial) -> int:
+    """glex_rank of u, found on the first call for u and kept on it."""
+    if u._rank is None:
+        u._rank = glex_rank(u.exponents)
+    return u._rank
+
+
+def shadow_size(u: Monomial) -> int:
+    """glex_rank(u * x_n) + 1: the size of the shadow one degree up of the
+    initial segment ending in u, found on the first call and kept on u."""
+    if u._shadow is None:
+        u._shadow = glex_rank(u.exponents[:-1] + (u.exponents[-1] + 1,)) + 1
+    return u._shadow
 
 
 def xfree_projection(u: Monomial) -> Monomial:
     """u, free of x_1, as a monomial in the last n - 1 variables, built on
     the first call for u and kept on it."""
-    kept = u._kept
-    if kept is None:
-        kept = u._kept = [None, None, None]
-    if kept[2] is None:
-        kept[2] = _monomial(u.exponents[1:], u.degree)
-    return kept[2]
+    if u._proj is None:
+        u._proj = _monomial(u.exponents[1:], u.degree)
+    return u._proj
 
 
 def one(n: int) -> Monomial:

@@ -733,6 +733,16 @@ REFUSALS = [
     ),
     (("gen", "power-ideal", "y,y", "2"), "error: repeated variable name"),
     (("gen", "power-ideal", "y,z", "0"), "error: the exponent must be at least 1"),
+    # Too many variables to hold one generator's exponents: an index-sized
+    # integer overflows, or the list cannot be allocated.
+    (
+        ("betti", "x, y", "--vars", "99999999999999999999"),
+        "error: --vars 99999999999999999999 is too large",
+    ),
+    (
+        ("betti", "x, y", "--vars", "1000000000000000"),
+        "error: --vars 1000000000000000 is too large",
+    ),
 ]
 
 

@@ -24,6 +24,7 @@ from itertools import islice, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lexbs.enumeration as enumeration
 import lexbs.verify as verify
 from lexbs.enumeration import (
     CHECKS,
@@ -37,6 +38,7 @@ from lexbs.enumeration import (
 from lexbs.ideal import (
     MonomialIdeal,
     UnitIdeal,
+    _ideal,
     add_variable,
     colon_variable,
     is_artinian,
@@ -79,15 +81,24 @@ def test_enumeration_deterministic():
     assert tuple(enumerate_artinian_lex(3)) == tuple(enumerate_artinian_lex(3))
 
 
-@pytest.mark.parametrize("shares", [2, 3])
-def test_share_enumerates_its_own_positions(shares):
-    # A share skips the other shares' ideals inside the recursion; it must
-    # still yield exactly every shares-th ideal of the full order.
+@pytest.mark.parametrize("shares", [2, 3, 4, 5])
+def test_share_enumerates_its_own_positions(monkeypatch, shares):
+    # A share is a slice of the one walk: exactly every shares-th ideal of
+    # the full order, and it builds no ideal of the others.
     full = tuple(enumerate_artinian_lex(6))
-    parts = [tuple(enumerate_artinian_lex(6, k, shares)) for k in range(shares)]
-    for k, part in enumerate(parts):
+    built = []
+
+    def counted(n, gens):
+        built.append(gens)
+        return _ideal(n, gens)
+
+    monkeypatch.setattr(enumeration, "_ideal", counted)
+    for k in range(shares):
+        built.clear()
+        part = tuple(enumerate_artinian_lex(6, k, shares))
         assert part == tuple(islice(full, k, None, shares))
-    assert sum(map(len, parts)) == len(full) == 876
+        assert len(built) == len(part) == len(range(k, 876, shares))
+    assert len(full) == 876
 
 
 def test_brute_force_oracle_degree_three():

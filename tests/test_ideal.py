@@ -41,6 +41,7 @@ from lexbs.monomial import (
     monomials_of_degree,
     one,
     quotients,
+    shadow_size,
     variable,
     xfree_projection,
 )
@@ -470,9 +471,9 @@ def test_segment_shadow_size_matches_set_property(n, d, data):
         for e in (u.exponents for u in master[:t])
         for i in range(n)
     }
-    # The size the enumerator reads: one more than the rank of u * x_n,
-    # for u the last monomial of the segment.
-    assert (kept_rank(master[t - 1], 1) + 1 if t else 0) == len(shadow)
+    # The size the enumerator and the lex test read: one more than the
+    # rank of u * x_n, for u the last monomial of the segment.
+    assert (shadow_size(master[t - 1]) if t else 0) == len(shadow)
 
 
 # Generators of degree <= 3 keep the lexification below degree ~40 in
@@ -537,7 +538,7 @@ def _rebuilt(I, fill):
     when fill is true."""
     gens = [Monomial(g.exponents) for g in I.gens]
     for g in gens if fill else ():
-        quotients(g), ek_split(g), kept_rank(g), kept_rank(g, 1)
+        quotients(g), ek_split(g), kept_rank(g), shadow_size(g)
         if not g.exponents[0]:
             xfree_projection(g)
     return _ideal(I.n, gens)

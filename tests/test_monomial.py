@@ -17,6 +17,7 @@ from lexbs.monomial import (
     monomials_of_degree,
     one,
     quotients,
+    shadow_size,
     variable,
     xfree_projection,
 )
@@ -54,18 +55,18 @@ def test_quotients_are_kept_on_the_monomial():
     assert quotients(m(0, 0, 1)) == (None, None, m(0, 0, 0))
 
 
-def shadow_rank(u):
-    return kept_rank(u, 1)
-
-
-# What a monomial keeps, each filled by its accessor: the quotients and
-# the split in their own slots, the others in the list of the slot _kept.
+# What a monomial keeps, each in its own slot, filled by its accessor.
 # xfree_projection is defined on x_1-free monomials only.
-KEPT = (quotients, ek_split, kept_rank, shadow_rank, xfree_projection)
+KEPT = (quotients, ek_split, kept_rank, shadow_size, xfree_projection)
+SLOTS = ("_quotients", "_split", "_rank", "_shadow", "_proj")
 
 
 def _kept(u):
-    return [u._quotients, u._split, *(u._kept or [None] * 3)]
+    return [getattr(u, slot) for slot in SLOTS]
+
+
+def test_each_kept_value_has_its_own_slot():
+    assert Monomial.__slots__ == ("exponents", "degree", *SLOTS)
 
 
 @pytest.mark.parametrize("build", [Monomial, lambda e: _monomial(e, sum(e))])
@@ -76,7 +77,7 @@ def test_kept_quotients_change_nothing_visible(build):
     kept_rank(one_kept)
     for fill in KEPT:
         fill(used)
-    assert fresh._kept is None and set(_kept(fresh)) == {None}
+    assert set(_kept(fresh)) == {None}
     assert _kept(one_kept) == [None, None, 7, None, None]
     assert None not in _kept(used)
     for u in (one_kept, used):
@@ -90,8 +91,7 @@ def test_kept_quotients_change_nothing_visible(build):
             back = pickle.loads(pickle.dumps(u, protocol))
             assert back == fresh and hash(back) == hash(fresh)
             # An unpickled monomial keeps nothing, and derives the same.
-            assert back.degree == 3 and back._kept is None
-            assert set(_kept(back)) == {None}
+            assert back.degree == 3 and set(_kept(back)) == {None}
             assert [fill(back) for fill in KEPT] == _kept(used)
 
 
@@ -116,8 +116,8 @@ def test_kept_split_and_ranks_match_a_scan_property(e):
     assert kept_rank(u) == glex_rank(tuple(e))
     assert monomials_of_degree(n, d)[kept_rank(u)] == u
     shadow = tuple(e[:-1]) + (e[-1] + 1,)
-    assert shadow_rank(u) == glex_rank(shadow)
-    assert monomials_of_degree(n, d + 1)[shadow_rank(u)].exponents == shadow
+    assert shadow_size(u) == glex_rank(shadow) + 1
+    assert monomials_of_degree(n, d + 1)[shadow_size(u) - 1].exponents == shadow
     # Read again, the kept values answer the same.
     assert (max_index(u), kept_rank(u)) == (m_u, glex_rank(tuple(e)))
     if not e[0]:
