@@ -48,18 +48,18 @@ def bs_decompose(B: BettiDiagram) -> Decomposition:
     """Greedy decomposition of a nonzero diagram into pure diagrams.
 
     Each step subtracts alpha * pi(d) where d is the top degree sequence
-    of the remainder and alpha = min_i remainder[i, d_i] / entry_i.
-    Diagrams outside the cone surface as NotDecomposable, through a
-    malformed top sequence, with top_degree_sequence's message.
+    of the remainder and alpha = min_i remainder[i, d_i] / entry_i.  A
+    diagram outside the cone raises NotDecomposable with the message of
+    top_degree_sequence on the first remainder off it.
 
-    The remainder is kept as integer numerators, and only the coefficients
-    are built as Fractions.  It is kept by column, in descending internal
-    degree: d is read off the column ends, and a step reads and changes
-    only them.  So the ends are numerators over den * s, and the entries
-    below them over den: a step finds alpha by cross-multiplying the ends,
-    scales them and s by the minimizing pure entry, and subtracts; an
-    entry that becomes an end is scaled by s; and s comes down by the gcd
-    of the ends alone.
+    The remainder is kept as integer numerators by column: the end of
+    column k, of least degree seq[k], over den * s in ends[k], and the
+    entries above it over den in degs[k] and nums[k].  A step changes only
+    the ends, in place: alpha comes from cross-multiplying them, they and
+    s are scaled by the minimizing pure entry, and pi is subtracted.  An
+    entry popped to an end is scaled by s, and s comes down by the gcd of
+    the ends.  The cone conditions are tested on B, and again only when a
+    column empties or an end moves up to the next one.
     """
     entries = B.entries
     if not entries:
@@ -69,65 +69,62 @@ def bs_decompose(B: BettiDiagram) -> Decomposition:
         exact = {key: Fraction(v) for key, v in entries.items()}
         den = lcm(*(v.denominator for v in exact.values()))
         entries = {k: v.numerator * (den // v.denominator) for k, v in exact.items()}
-    s = 1
     # Descending keys: the first lies in the last column, the last in the first.
     keys = sorted(entries, reverse=True)
     lo = keys[-1][0]
-    # degs[k] and nums[k]: column lo + k, internal degrees descending.
     degs: list[list[int]] = [[] for _ in range(keys[0][0] - lo + 1)]
     nums: list[list[int]] = [[] for _ in degs]
     for key in keys:
         degs[key[0] - lo].append(key[1])
         nums[key[0] - lo].append(entries[key])
+    seq = [col.pop() for col in degs if col]
+    # In the cone: columns 0..p-1, none empty, ends strictly increasing.
+    if lo or len(seq) < len(degs) or not all(map(lt, seq, seq[1:])):
+        top_degree_sequence(entries)  # raises
+    ends = [col.pop() for col in nums]
+    s = 1
     summands: list[tuple[Fraction, tuple[int, ...]]] = []
     # Entries stay positive, so alpha > 0; the minimizing end drops to
-    # exactly zero and is deleted, so every step shrinks the remainder and
-    # the loop ends with it empty.
-    while degs:
-        seq = tuple([col[-1] for col in degs if col])
-        # Outside the cone unless the columns are 0..p-1, none empty, and
-        # their ends strictly increase.
-        if lo or len(seq) < len(degs) or not all(map(lt, seq, seq[1:])):
-            top_degree_sequence(
-                {
-                    (lo + k, j): v
-                    for k, (col_degs, col) in enumerate(zip(degs, nums))
-                    for j, v in zip(col_degs, col)
-                }
-            )  # raises
-        pure = pure_diagram(seq).pure_entries
-        # alpha = a / (den * s * e): the least column end over its pure
-        # entry, compared by cross-multiplying (pure entries are positive).
-        a, e = nums[0][-1], pure[0]
-        for col, pe in zip(nums, pure):
-            v = col[-1]
+    # exactly zero, so every step shrinks the remainder until it is empty.
+    while seq:
+        d = tuple(seq)
+        pure = pure_diagram(d).pure_entries
+        # alpha = a / (den * s * e): the least end over its pure entry.
+        a, e = ends[0], pure[0]
+        for v, pe in zip(ends, pure):
             if v * e < a * pe:
                 a, e = v, pe
         g = gcd(a, e)
-        a //= g
-        e //= g
-        summands.append((Fraction(a, den * s * e), seq))
+        a, e = a // g, e // g
+        summands.append((Fraction(a, den * s * e), d))
         # The ends minus alpha * pi, over den * s * e.
         s *= e
-        for col_degs, col, pe in zip(degs, nums, pure):
-            v = col[-1] * e - a * pe
+        emptied = moved = False
+        for k, pe in enumerate(pure):
+            v = ends[k] * e - a * pe
             if v:
-                col[-1] = v
+                ends[k] = v
+            elif degs[k]:
+                ends[k] = nums[k].pop() * s
+                seq[k] = up = degs[k].pop()
+                moved = moved or k < len(pure) - 1 and up >= seq[k + 1]
             else:
-                col.pop()
-                col_degs.pop()
-                if col:
-                    col[-1] *= s
-        while degs and not degs[-1]:
-            degs.pop()
-            nums.pop()
-        if s != 1:
-            g = gcd(s, *[col[-1] for col in nums if col])
-            if g != 1:
-                s //= g
-                for col in nums:
-                    if col:
-                        col[-1] //= g
+                ends[k] = seq[k] = None
+                emptied = True
+        if emptied:
+            # Emptied last columns leave a prefix; any other leaves the cone.
+            while seq and seq[-1] is None:
+                del seq[-1], ends[-1]
+            moved = moved or None in seq
+        if moved and (None in seq or not all(map(lt, seq, seq[1:]))):
+            remainder = {(k, j): 1 for k, (col, end) in enumerate(zip(degs, seq))
+                         for j in (*col, end) if j is not None}
+            top_degree_sequence(remainder)  # raises
+        g = gcd(s, *ends)
+        if g != 1:
+            s //= g
+            for k, v in enumerate(ends):
+                ends[k] = v // g
     return Decomposition(tuple(summands))
 
 

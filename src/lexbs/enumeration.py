@@ -19,7 +19,7 @@ from collections.abc import Iterator
 from itertools import count, islice
 from operator import itemgetter
 
-from .ideal import MonomialIdeal, _ideal
+from .ideal import MonomialIdeal, _fill
 from .monomial import monomials_of_degree, shadow_size
 from .verify import CHECKS
 
@@ -38,8 +38,8 @@ def enumerate_artinian_lex(
         raise ValueError("max_deg must be at least 1")
     masters = [monomials_of_degree(3, d) for d in range(max_deg + 1)]
     for gens in islice(_walk(masters, 1, 0, ()), k, None, shares):
-        # Minimal by construction: no slice meets the shadow below it.
-        yield _ideal(3, gens)
+        # Minimal and glex-descending by construction: see _walk.
+        yield _fill(object.__new__(MonomialIdeal), 3, gens)
 
 
 def _walk(masters, d: int, prev_t: int, gens: tuple):

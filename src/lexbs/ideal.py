@@ -360,29 +360,31 @@ def colon_variable(I: MonomialIdeal, i: int):
     no quotient divides another and no x_i-free generator divides a
     quotient, so the only ones to drop are the x_i-free generators that
     some quotient divides.  Only the quotients of generators with x_i to
-    the first power are x_i-free, so only they can divide one.  Returns
-    UnitIdeal when x_i itself is a generator.
+    the first power are x_i-free, so only they can divide one; they are
+    tried lowest degree first.  Quotients and generators each keep glex
+    order, so only both together are sorted.  Returns UnitIdeal when x_i
+    itself is a generator.
     """
     n = I.n
     check_variable_index(i, n)
     k = i - 1
-    qs: list[Monomial] = []
-    free_quotients: list[Monomial] = []
-    free: list[Monomial] = []
+    qs, free_quotients, free = [], [], []
     for g in I.gens:
         c = g.exponents[k]
         if c:
             if g.degree == 1:
                 return UnitIdeal(n)
-            q = quotients(g)[k]
+            q = (g._quotients or quotients(g))[k]
             qs.append(q)
             if c == 1:
-                free_quotients.append(q)
+                free_quotients.insert(0, q)
         else:
             free.append(g)
     if free_quotients:
         free = [g for g in free if not _divisible(g.exponents, free_quotients)]
-    return _ideal(n, qs + free)
+    if qs and free:
+        return _ideal(n, qs + free)
+    return _fill(object.__new__(MonomialIdeal), n, tuple(qs or free))
 
 
 def add_variable(I: MonomialIdeal, i: int):

@@ -210,7 +210,7 @@ def _assert_peels_agree(B):
 
 
 def test_integer_peel_matches_fraction_peel_on_campaign_diagrams():
-    for I in enumerate_artinian_lex(5):
+    for I in enumerate_artinian_lex(6):
         B = ek_betti(I)
         _assert_peels_agree(B)
         _assert_peels_agree(quotient_diagram(B))
@@ -242,6 +242,16 @@ def test_integer_peel_matches_fraction_peel_property(I, scale):
 # Columns that start below or above 0.
 @example({(-1, 0): Fraction(1), (0, 1): Fraction(1)})
 @example({(1, 2): Fraction(1), (2, 3): Fraction(1)})
+# The first step empties column 1 while column 2 keeps an entry.
+@example(
+    {(0, 0): Fraction(1), (1, 1): Fraction(1), (2, 2): Fraction(5), (2, 3): Fraction(1)}
+)
+# The first step empties the last column, which leaves a prefix.
+@example({(0, 0): Fraction(5), (1, 1): Fraction(5), (2, 2): Fraction(1)})
+# The first step moves the end of column 0 up past that of column 1.
+@example({(0, 0): Fraction(1), (0, 5): Fraction(1), (1, 2): Fraction(5)})
+# Denominator 5, and a later step takes a common factor out of s.
+@example({(0, 0): Fraction(6, 5), (1, 3): Fraction(6, 5), (2, 4): Fraction(4, 5)})
 def test_integer_peel_matches_fraction_peel_off_the_cone(entries):
     # Random entries: mostly outside the cone, where both peels must
     # raise the same NotDecomposable message.

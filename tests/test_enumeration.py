@@ -38,7 +38,7 @@ from lexbs.enumeration import (
 from lexbs.ideal import (
     MonomialIdeal,
     UnitIdeal,
-    _ideal,
+    _fill,
     add_variable,
     colon_variable,
     is_artinian,
@@ -88,11 +88,11 @@ def test_share_enumerates_its_own_positions(monkeypatch, shares):
     full = tuple(enumerate_artinian_lex(6))
     built = []
 
-    def counted(n, gens):
+    def counted(I, n, gens):
         built.append(gens)
-        return _ideal(n, gens)
+        return _fill(I, n, gens)
 
-    monkeypatch.setattr(enumeration, "_ideal", counted)
+    monkeypatch.setattr(enumeration, "_fill", counted)
     for k in range(shares):
         built.clear()
         part = tuple(enumerate_artinian_lex(6, k, shares))

@@ -503,11 +503,20 @@ def _sum_by_textbook(I, i):
 
 
 # colon_variable tests the x_i-free generators only against the quotients
-# of generators with x_i to the first power.  In the example, for i = 1,
-# the quotient x of x^2 cannot divide y^2; the quotient y of x*y does.
+# of generators with x_i to the first power.  In the first example, for
+# i = 1, the quotient x of x^2 cannot divide y^2; the quotient y of x*y
+# does.  The others take each way out of colon_variable, at the i named.
 @_PROPERTY
 @given(ideals(min_vars=1))
 @example(minimalize([m(2, 0, 0), m(1, 1, 0), m(0, 2, 0), m(0, 0, 1)]))
+# i = 1: every x-free generator is dropped, and the colon is (x, y, z).
+@example(parse_ideal("x^2, xy, xz, y^3, y^2z, yz^2, z^3"))
+# i = 3: no generator involves z, and the colon is the ideal itself.
+@example(parse_ideal("x^2, xy, y^2"))
+# i = 3: the quotient y^2 and the kept x^3 are sorted together: (x^3, y^2).
+@example(parse_ideal("x^3, y^2z"))
+# i = 1: x is a generator, and the colon is the unit ideal.
+@example(parse_ideal("x, y^2"))
 def test_colon_and_add_variable_match_minimalize_property(I):
     for i in range(1, I.n + 1):
         for built, textbook in (
@@ -516,6 +525,17 @@ def test_colon_and_add_variable_match_minimalize_property(I):
         ):
             assert built == textbook
             assert hash(built) == hash(textbook)
+
+
+def test_colons_of_campaign_ideals_match_the_textbook():
+    # The colons the campaign builds: equal to the textbook colon, with the
+    # glex-descending generators every MonomialIdeal keeps.
+    for L in enumerate_artinian_lex(6):
+        for i in (1, 2, 3):
+            built = colon_variable(L, i)
+            assert built == _colon_by_textbook(L, i)
+            if isinstance(built, MonomialIdeal):
+                assert list(built.gens) == sorted(built.gens, key=glex_key, reverse=True)
 
 
 # Every lex ideal is Borel-closed, so lexifying Borel closures reaches
