@@ -388,12 +388,22 @@ def colon_variable(I: MonomialIdeal, i: int):
 
 
 def add_variable(I: MonomialIdeal, i: int):
-    """The sum I + (x_i): x_i and the x_i-free minimal generators of I."""
+    """The sum I + (x_i): x_i and the x_i-free minimal generators of I.
+
+    Those keep their glex-descending order, and x_i, of degree one, goes
+    in before the degree-one generators x_j with j > i, which end the
+    list; x_i is the one kept in monomials_of_degree(n, 1).
+    """
     n = I.n
     check_variable_index(i, n)
-    gens = [g for g in I.gens if not g.exponents[i - 1]]
-    gens.append(_monomial((0,) * (i - 1) + (1,) + (0,) * (n - i), 1))
-    return _ideal(n, gens)
+    k = i - 1
+    gens = [g for g in I.gens if not g.exponents[k]]
+    x = monomials_of_degree(n, 1)[k]
+    j = len(gens)
+    while j and gens[j - 1].degree == 1 and gens[j - 1].exponents < x.exponents:
+        j -= 1
+    gens.insert(j, x)
+    return _fill(object.__new__(MonomialIdeal), n, tuple(gens))
 
 
 def split_x(L: MonomialIdeal) -> Split:

@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .betti import ek_betti, mapping_cone_betti
-from .decompose import Decomposition, bs_decompose, split_by_length
+from .decompose import Decomposition, bs_decompose, split_by_length, summand
 from .ideal import (
     Ideal,
     MonomialIdeal,
@@ -190,10 +190,13 @@ class IdealFacts:
 
     @property
     def shifted_prefix(self) -> tuple:
-        """The chain's full-length summands, every degree raised by one."""
+        """The chain's full-length summands, every degree raised by one,
+        taken from decompose's table of summands: where thm1 holds they
+        are the very pairs that open the chain of L."""
         if self._shifted is None:
             self._shifted = tuple(
-                (coeff, _shift_seq(seq)) for coeff, seq in self.cut[0]
+                summand(c.numerator, c.denominator, _shift_seq(seq))
+                for c, seq in self.cut[0]
             )
         return self._shifted
 
@@ -287,15 +290,21 @@ def check_colon_prefix(L: MonomialIdeal) -> CheckReport:
 def _prefix_witness(full_L, expected) -> str | None:
     """First way the full-length summands full_L fail to open with the
     shifted prefix `expected`, or None: too few summands, then a
-    sequence, then an inner coefficient, then a smaller last one."""
+    sequence, then an inner coefficient, then a smaller last one.  Equal
+    summands are mostly the same shared pairs, so an opening equal to
+    `expected` is found by one tuple comparison before any search."""
     t1 = len(expected)
+    if full_L[:t1] == expected:
+        return None
     if len(full_L) < t1:
         return f"chain has {len(full_L)} full-length summands, need at least {t1}"
     for k in range(t1):
         if full_L[k][1] != expected[k][1]:
             return f"summand {k}: sequence {full_L[k][1]} != shifted {expected[k][1]}"
+    # The sequences agree, so pairs differ where their coefficients do;
+    # comparing the pairs skips Fraction.__eq__ on a shared coefficient.
     for k in range(t1 - 1):
-        if full_L[k][0] != expected[k][0]:
+        if full_L[k] != expected[k]:
             return f"summand {k}: coefficient {full_L[k][0]} != {expected[k][0]}"
     last = t1 - 1
     if full_L[last][0] < expected[last][0]:
@@ -305,6 +314,8 @@ def _prefix_witness(full_L, expected) -> str | None:
 
 def _compare_tails(tail_a, tail_b) -> str | None:
     """First difference between two summand lists, or None if equal."""
+    if tail_a == tail_b:
+        return None
     if len(tail_a) != len(tail_b):
         return f"tail lengths differ: {len(tail_a)} vs {len(tail_b)}"
     for k, (a, b) in enumerate(zip(tail_a, tail_b)):

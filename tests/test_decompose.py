@@ -19,10 +19,12 @@ from lexbs.betti import (
     quotient_diagram,
 )
 from lexbs.decompose import (
+    SUMMAND_TABLE_SIZE,
     Decomposition,
     bs_decompose,
     reconstruct,
     split_by_length,
+    summand,
     unit_normalized,
 )
 from lexbs.enumeration import enumerate_artinian_lex
@@ -256,3 +258,45 @@ def test_integer_peel_matches_fraction_peel_off_the_cone(entries):
     # Random entries: mostly outside the cone, where both peels must
     # raise the same NotDecomposable message.
     _assert_peels_agree(BettiDiagram(4, entries))
+
+
+# ------------------------------------------------------ the summand table
+
+
+def _same_objects(a, b):
+    return len(a) == len(b) and all(p is q for p, q in zip(a, b))
+
+
+def test_equal_summands_are_one_object():
+    # Equal diagrams built apart peel to the very same pairs.
+    B = ek_betti(stagger())
+    chain = bs_decompose(B)
+    assert _same_objects(chain, bs_decompose(BettiDiagram(3, dict(B.entries))))
+    # Scaled by 1/2 written two ways: one key in lowest terms, one pair.
+    halves = [
+        bs_decompose(BettiDiagram(3, {k: scale * v for k, v in B.items()}))
+        for scale in (Fraction(1, 2), Fraction(2, 4))
+    ]
+    assert _same_objects(*halves)
+    assert as_pairs(halves[0]) == tuple((Fraction(c) / 2, s) for c, s in STAGGER_CHAIN)
+
+
+def test_summand_table_is_bounded():
+    assert summand.cache_info().maxsize == SUMMAND_TABLE_SIZE
+    for I in enumerate_artinian_lex(7):
+        B = ek_betti(I)
+        bs_decompose(B)
+        bs_decompose(quotient_diagram(B))
+    assert 0 < summand.cache_info().currsize <= SUMMAND_TABLE_SIZE
+
+
+def test_chains_do_not_depend_on_the_table():
+    # Clearing the table loses only sharing: the chains peeled again are
+    # equal, by value and by repr, and made of new pairs.
+    diagrams = [ek_betti(I) for I in enumerate_artinian_lex(5)]
+    before = [bs_decompose(B) for B in diagrams]
+    summand.cache_clear()
+    after = [bs_decompose(B) for B in diagrams]
+    assert after == before
+    assert list(map(repr, after)) == list(map(repr, before))
+    assert before[-1].summands[0] is not after[-1].summands[0]

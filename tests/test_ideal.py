@@ -517,6 +517,16 @@ def _sum_by_textbook(I, i):
 @example(parse_ideal("x^3, y^2z"))
 # i = 1: x is a generator, and the colon is the unit ideal.
 @example(parse_ideal("x, y^2"))
+# add_variable keeps the x_i-free generators in order and puts x_i in
+# before the degree-one generators after it.  i = 1: x^2 is dropped and x
+# goes in before y.
+@example(parse_ideal("y, x^2"))
+# i = 2: y goes in between x and z.
+@example(parse_ideal("x, z"))
+# i = 4: x_4 goes in last, after x_3; x_1 stays behind x_2^2.
+@example(minimalize([m(1, 0, 0, 0), m(0, 2, 0, 0), m(0, 0, 1, 0), m(0, 0, 0, 2)]))
+# i = 2: y is already a generator, and the sum is the ideal itself.
+@example(parse_ideal("x^2, y, z^3"))
 def test_colon_and_add_variable_match_minimalize_property(I):
     for i in range(1, I.n + 1):
         for built, textbook in (

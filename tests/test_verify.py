@@ -403,6 +403,12 @@ def _outcome(report):
             ((F(1), (2, 4, 5)), (F(1, 3), (3, 4, 5))),
             "summand 1: coefficient 1/3 < 2/3",
         ),
+        # Both sequences differ: the first is reported.
+        (
+            ((F(1), (1, 3, 4)), (F(1), (2, 3, 4))),
+            ((F(1), (2, 4, 6)), (F(1), (3, 4, 6))),
+            "summand 0: sequence (2, 4, 6) != shifted (2, 4, 5)",
+        ),
     ],
 )
 def test_colon_prefix_failure_witnesses(colon_chain, ideal_chain, witness):
@@ -411,6 +417,23 @@ def test_colon_prefix_failure_witnesses(colon_chain, ideal_chain, witness):
     report = check_colon_prefix(L)
     assert _outcome(report) == ("applicable", "fail", witness)
     assert report.details["prefix_length"] == len(colon_chain)
+
+
+# Pairs built apart from decompose's table: an opening equal by value
+# passes at the tuple comparison that opens _prefix_witness, and one whose
+# last coefficient grew passes the ordered search after it.
+@pytest.mark.parametrize(
+    "ideal_chain",
+    [
+        ((F(1), (2, 4, 5)), (F(2, 3), (3, 4, 5)), (F(8), (8, 9))),
+        ((F(1), (2, 4, 5)), (F(1), (3, 4, 5)), (F(8), (8, 9))),
+    ],
+)
+def test_colon_prefix_passes_on_pairs_equal_by_value(ideal_chain):
+    L = splice8()
+    colon_chain = ((F(1), (1, 3, 4)), (F(2, 3), (2, 3, 4)))
+    _with_chains({colon_variable(L, 1): colon_chain, L: ideal_chain})
+    assert _outcome(check_colon_prefix(L)) == ("applicable", "pass", None)
 
 
 @pytest.mark.parametrize(
@@ -521,6 +544,24 @@ def test_checks_never_see_another_ideals_facts():
                     assert read_2(B) == alone[name_2, text_b]
                     assert read_1(A) == alone[name_1, text_a]
                     assert read_2(A_again) == alone[name_2, text_a]
+
+
+def test_laws_compare_shared_summands():
+    # Equal summands are one pair from decompose's table, so where thm2
+    # passes the two tails are the same objects, and where thm1 passes the
+    # opening of L's chain is the colon's shifted prefix, bar a last
+    # coefficient that grew.
+    for L in enumerate_artinian_lex(6):
+        f = verify.facts_of(L)
+        if check_tail_agreement(L).outcome == "passed":
+            tail, augmented = f.cut[1], f.augmented.cut[1]
+            assert len(tail) == len(augmented)
+            assert all(a is b for a, b in zip(tail, augmented))
+        if check_colon_prefix(L).outcome == "passed":
+            prefix = f.colon(1).shifted_prefix
+            opening = f.cut[0][: len(prefix)]
+            assert all(a is b for a, b in zip(opening[:-1], prefix[:-1]))
+            assert opening[-1] is prefix[-1] or opening[-1][0] > prefix[-1][0]
 
 
 # ------------------------------------------- lex and stability, kept once
