@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb
 
 from .ideal import MonomialIdeal, is_stable, max_gen_degree, stable_violation
-from .monomial import ek_split, format_monomial, max_index
+from .monomial import format_monomial, max_index
 
 
 class BettiDiagram:
@@ -73,13 +73,13 @@ def ek_betti(I: MonomialIdeal) -> BettiDiagram:
     beta_{i, i+j}(I) = sum over degree-j generators u of
     binomial(m(u)-1, i).  A non-stable input raises ValueError naming a
     violating generator.  The generators are counted by (degree, m(u))
-    first, each m(u) read off the split that ek_split keeps on u, and
-    each count then adds a binomial row.
+    first, each m(u) read off the split u.split set when u was built,
+    and each count then adds a binomial row.
     """
     _require_stable(I)
     cells: dict[tuple[int, int], int] = {}
     for g in I.gens:
-        key = (g.degree, len((g._split or ek_split(g))[0]) + 1)
+        key = (g.degree, len(g.split[0]) + 1)
         cells[key] = cells.get(key, 0) + 1
     entries: dict[tuple[int, int], int] = {}
     for (j, m), count in cells.items():

@@ -19,7 +19,7 @@ from collections.abc import Iterator
 from itertools import count, islice
 from operator import itemgetter
 
-from .ideal import MonomialIdeal, _fill
+from .ideal import MonomialIdeal, _ideal
 from .monomial import monomials_of_degree, shadow_size
 from .verify import CHECKS
 
@@ -39,7 +39,7 @@ def enumerate_artinian_lex(
     masters = [monomials_of_degree(3, d) for d in range(max_deg + 1)]
     for gens in islice(_walk(masters, 1, 0, ()), k, None, shares):
         # Minimal and glex-descending by construction: see _walk.
-        yield _fill(object.__new__(MonomialIdeal), 3, gens)
+        yield _ideal(3, gens)
 
 
 def _walk(masters, d: int, prev_t: int, gens: tuple):
@@ -171,7 +171,7 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     built.
     """
     args = (config.max_deg, config.checks)
-    workers = worker_count(config.parallelism, os.cpu_count())
+    workers = worker_count(config.parallelism, available_cpus())
     if workers == 1:
         return _merge([_check_share(*args, 0, 1)], config.checks)
     # Imported here: it loads multiprocessing, which a serial run or a
@@ -196,10 +196,17 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
 
 
 def worker_count(requested: int, cpus: int | None) -> int:
-    """Worker processes for a campaign that asks for `requested` on a
-    host with `cpus` CPUs (None when unknown): no more than the CPUs.
-    More would only take turns on them, each with its own caches."""
+    """Worker processes for a campaign that asks for `requested` where
+    `cpus` CPUs are available (None when unknown): no more than the
+    CPUs.  More would only take turns on them, each with its own caches."""
     return min(requested, cpus or 1)
+
+
+def available_cpus() -> int | None:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one (taskset shrinks it), else os.cpu_count()."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count()
 
 
 def _merge(shares, checks: tuple[str, ...]) -> CampaignSummary:

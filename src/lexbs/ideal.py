@@ -20,7 +20,6 @@ from .monomial import (
     Monomial,
     _monomial,
     check_variable_index,
-    ek_split,
     format_monomial,
     glex_key,
     glex_rank,
@@ -123,12 +122,11 @@ def _fill(I: MonomialIdeal, n: int, ordered: tuple[Monomial, ...]) -> MonomialId
     return I
 
 
-def _ideal(n: int, gens) -> MonomialIdeal:
-    """The MonomialIdeal of generators known to be minimal, distinct,
-    nonconstant and in n variables: sorted glex-descending, without the
-    constructor's checks.  It equals and hashes like the checked one."""
-    ordered = tuple(sorted(gens, key=glex_key, reverse=True))
-    return _fill(object.__new__(MonomialIdeal), n, ordered)
+def _ideal(n: int, ordered) -> MonomialIdeal:
+    """The MonomialIdeal of minimal, distinct, nonconstant generators in n
+    variables, given glex-descending: the one builder, without checks, of
+    the ideals lexbs derives.  It equals and hashes like the checked one."""
+    return _fill(object.__new__(MonomialIdeal), n, tuple(ordered))
 
 
 Ideal = MonomialIdeal | UnitIdeal | ZeroIdeal
@@ -164,7 +162,7 @@ def minimalize(monos, n: int | None = None):
     unique = {m.exponents: m for m in monos}.values()
     for _, band in groupby(sorted(unique, key=glex_key), _degree):
         kept += [m for m in band if not _divisible(m.exponents, kept)]
-    return _fill(object.__new__(MonomialIdeal), n, tuple(reversed(kept)))
+    return _ideal(n, reversed(kept))
 
 
 def min_gen_degree(I: MonomialIdeal) -> int:
@@ -303,14 +301,14 @@ def stable_violation(I: MonomialIdeal):
 
     A generator g is a prefix of v exactly when it agrees with v before
     m = m(g) and g_m <= v_m, so the generators are kept by their
-    exponents before m(g), which with g_m make the split that ek_split
-    keeps on g.  The prefixes of the exchange that end before x_i are
-    proper prefixes of u, so no generator of a minimal set; the lookups
-    run from x_i to x_{m(u)}, each on the prefix of the one before with
-    one more exponent.
+    exponents before m(g), which with g_m make the split g.split.  The
+    prefixes of the exchange that end before x_i are proper prefixes of
+    u, so no generator of a minimal set; the lookups run from x_i to
+    x_{m(u)}, each on the prefix of the one before with one more
+    exponent.
     """
     gens = I.gens
-    splits = [g._split or ek_split(g) for g in gens]
+    splits = [g.split for g in gens]
     get = dict(splits).get
     for g, (head, top) in zip(gens, splits):
         e = g.exponents
@@ -374,7 +372,7 @@ def colon_variable(I: MonomialIdeal, i: int):
         if c:
             if g.degree == 1:
                 return UnitIdeal(n)
-            q = (g._quotients or quotients(g))[k]
+            q = quotients(g)[k]
             qs.append(q)
             if c == 1:
                 free_quotients.insert(0, q)
@@ -383,8 +381,8 @@ def colon_variable(I: MonomialIdeal, i: int):
     if free_quotients:
         free = [g for g in free if not _divisible(g.exponents, free_quotients)]
     if qs and free:
-        return _ideal(n, qs + free)
-    return _fill(object.__new__(MonomialIdeal), n, tuple(qs or free))
+        return _ideal(n, sorted(qs + free, key=glex_key, reverse=True))
+    return _ideal(n, qs or free)
 
 
 def add_variable(I: MonomialIdeal, i: int):
@@ -403,7 +401,7 @@ def add_variable(I: MonomialIdeal, i: int):
     while j and gens[j - 1].degree == 1 and gens[j - 1].exponents < x.exponents:
         j -= 1
     gens.insert(j, x)
-    return _fill(object.__new__(MonomialIdeal), n, tuple(gens))
+    return _ideal(n, gens)
 
 
 def split_x(L: MonomialIdeal) -> Split:
@@ -426,9 +424,7 @@ def xfree_part(L: MonomialIdeal):
     ZeroIdeal(n - 1) when there are none.  Their projections, kept on
     them, stay glex-descending: dropping a leading 0 keeps the order."""
     projected = tuple(xfree_projection(g) for g in L.gens if not g.exponents[0])
-    if projected:
-        return _fill(object.__new__(MonomialIdeal), L.n - 1, projected)
-    return ZeroIdeal(L.n - 1)
+    return _ideal(L.n - 1, projected) if projected else ZeroIdeal(L.n - 1)
 
 
 def lexify(I: MonomialIdeal) -> MonomialIdeal:
@@ -436,10 +432,10 @@ def lexify(I: MonomialIdeal) -> MonomialIdeal:
 
     Degree d holds the initial segment of size hilbert_value(I, d); its
     generators are the monomials after the end of the shadow of degree
-    d-1, stepped through in glex order up to that size.  The loop stops
-    at the first degree above max_gen_degree(I) that brings no generator:
-    from there the shadow already accounts for every Hilbert value
-    (Gotzmann persistence).
+    d-1, stepped through in glex order up to that size, in front of
+    those of lower degrees.  The loop stops at the first degree above
+    max_gen_degree(I) that brings no generator: from there the shadow
+    already accounts for every Hilbert value (Gotzmann persistence).
     Lex-segment input is its own lexification and comes back as is.
     """
     if is_lex_segment(I):
@@ -451,7 +447,7 @@ def lexify(I: MonomialIdeal) -> MonomialIdeal:
     # like the classical (2D)^(2^(n-2)) bound on the degrees of a
     # Groebner basis: 4D^2 in three variables.
     limit = (2 * top) ** (2 ** max(n - 2, 0))
-    gens: list[Monomial] = []
+    gens: tuple[Monomial, ...] = ()
     last = None  # the tuple ending the initial segment of degree d - 1
     d = 0
     while True:
@@ -477,8 +473,9 @@ def lexify(I: MonomialIdeal) -> MonomialIdeal:
                 next(walk)
             else:
                 walk = glex_walk((d,) + (0,) * (n - 1))
-            gens.extend(_monomial(e, d) for e in islice(walk, t - s))
-            last = gens[-1].exponents
+            band = tuple(_monomial(e, d) for e in islice(walk, t - s))
+            gens = band + gens
+            last = band[-1].exponents
     return _ideal(n, gens)
 
 

@@ -20,15 +20,17 @@ class Monomial:
 
     The number of variables is the length of the tuple.  Operations that
     combine two monomials require equal lengths and raise ValueError on a
-    mismatch rather than guessing an embedding.  One slot per value
-    derived from the exponents alone keeps it, None until first use:
-    ``_quotients`` holds :func:`quotients`, ``_split`` :func:`ek_split`,
+    mismatch rather than guessing an embedding.  ``split``, set when u
+    is built, is the Eliahou-Kervaire split of u != 1 (None for u = 1):
+    the exponents before x_m(u), and the exponent of x_m(u).  One private
+    slot per other value derived from the exponents alone keeps it, None
+    until first use: ``_quotients`` holds :func:`quotients`,
     ``_rank`` :func:`kept_rank`, ``_shadow`` :func:`shadow_size` and
     ``_proj`` :func:`xfree_projection`.  Equality, hash, repr and
     pickling read the exponents alone.
     """
 
-    __slots__ = ("exponents", "degree", "_quotients", "_split", "_rank",
+    __slots__ = ("exponents", "degree", "split", "_quotients", "_rank",
                  "_shadow", "_proj")
 
     def __new__(cls, exponents):
@@ -58,12 +60,16 @@ class Monomial:
 
 def _monomial(exponents: tuple[int, ...], degree: int) -> Monomial:
     """The Monomial of an exponent tuple of nonnegative ints summing to
-    degree, without the constructor's checks, which end here: for tuples
-    derived from monomials that were already built."""
+    degree, without the constructor's checks, which end here: the one
+    place a monomial, unpickled ones too, is built and its split set."""
     u = object.__new__(Monomial)
     u.exponents = exponents
     u.degree = degree
-    u._quotients = u._split = u._rank = u._shadow = u._proj = None
+    m = len(exponents)  # m(u): the last index with a nonzero exponent
+    while m and not exponents[m - 1]:
+        m -= 1
+    u.split = (exponents[: m - 1], exponents[m - 1]) if m else None
+    u._quotients = u._rank = u._shadow = u._proj = None
     return u
 
 
@@ -77,19 +83,6 @@ def quotients(u: Monomial) -> tuple:
             for k, c in enumerate(e)
         )
     return u._quotients
-
-
-def ek_split(u: Monomial) -> tuple[tuple[int, ...], int]:
-    """The Eliahou-Kervaire split of u != 1: the exponents before
-    x_m(u), and the exponent of x_m(u), so m(u) is one more than the
-    length of the first.  Found on the first call for u and kept on it."""
-    if u._split is None:
-        e = u.exponents
-        m = len(e)
-        while not e[m - 1]:
-            m -= 1
-        u._split = (e[: m - 1], e[m - 1])
-    return u._split
 
 
 def kept_rank(u: Monomial) -> int:
@@ -143,9 +136,9 @@ def max_index(u: Monomial) -> int:
 
     Undefined for the unit monomial.
     """
-    if not u.degree:
+    if u.split is None:
         raise ValueError("max_index is undefined for the unit monomial")
-    return len(ek_split(u)[0]) + 1
+    return len(u.split[0]) + 1
 
 
 def divides(a: Monomial, b: Monomial) -> bool:

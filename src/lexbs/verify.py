@@ -222,13 +222,13 @@ class IdealFacts:
             return word and "splitting is degenerate"
         # The generators are minimal, so with x and y among three the
         # third is free of both: a pure power z^t.
-        key = colon._key
-        if len(key) != 3 or (1, 0, 0) not in key or (0, 1, 0) not in key:
+        exps = [g.exponents for g in colon.gens] if len(colon.gens) == 3 else ()
+        if (1, 0, 0) not in exps or (0, 1, 0) not in exps:
             return word and (
                 f"colon by x is {format_ideal(colon)}, "
                 "not of the form (x, y, z^t)"
             )
-        t = max(e[2] for e in key)
+        t = max(e[2] for e in exps)
         k = min_gen_degree(xfree)
         if len(xfree.gens) == k + 1 and max_gen_degree(xfree) == k:
             return word and f"J is the full power (y, z)^{k}"
@@ -291,25 +291,27 @@ def _prefix_witness(full_L, expected) -> str | None:
     """First way the full-length summands full_L fail to open with the
     shifted prefix `expected`, or None: too few summands, then a
     sequence, then an inner coefficient, then a smaller last one.  Equal
-    summands are mostly the same shared pairs, so an opening equal to
-    `expected` is found by one tuple comparison before any search."""
+    summands are mostly the same shared pairs, so where the law holds one
+    tuple comparison finds the first t1 - 1 equal, and the last
+    coefficients, which may differ, are compared as integers: no
+    Fraction is compared."""
     t1 = len(expected)
-    if full_L[:t1] == expected:
-        return None
     if len(full_L) < t1:
         return f"chain has {len(full_L)} full-length summands, need at least {t1}"
+    if not t1:
+        return None
+    last = t1 - 1
+    if full_L[:last] == expected[:last] and full_L[last][1] == expected[last][1]:
+        c, e = full_L[last][0], expected[last][0]
+        if c.numerator * e.denominator < e.numerator * c.denominator:
+            return f"summand {last}: coefficient {c} < {e}"
+        return None
     for k in range(t1):
         if full_L[k][1] != expected[k][1]:
             return f"summand {k}: sequence {full_L[k][1]} != shifted {expected[k][1]}"
-    # The sequences agree, so pairs differ where their coefficients do;
-    # comparing the pairs skips Fraction.__eq__ on a shared coefficient.
-    for k in range(t1 - 1):
-        if full_L[k] != expected[k]:
-            return f"summand {k}: coefficient {full_L[k][0]} != {expected[k][0]}"
-    last = t1 - 1
-    if full_L[last][0] < expected[last][0]:
-        return f"summand {last}: coefficient {full_L[last][0]} < {expected[last][0]}"
-    return None
+    # The sequences agree, so a pair before the last differs in its coefficient.
+    k = next(k for k in range(last) if full_L[k] != expected[k])
+    return f"summand {k}: coefficient {full_L[k][0]} != {expected[k][0]}"
 
 
 def _compare_tails(tail_a, tail_b) -> str | None:

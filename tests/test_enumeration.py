@@ -31,6 +31,7 @@ from lexbs.enumeration import (
     CampaignConfig,
     _check_share,
     _merge,
+    available_cpus,
     enumerate_artinian_lex,
     run_campaign,
     worker_count,
@@ -38,7 +39,7 @@ from lexbs.enumeration import (
 from lexbs.ideal import (
     MonomialIdeal,
     UnitIdeal,
-    _fill,
+    _ideal,
     add_variable,
     colon_variable,
     is_artinian,
@@ -88,11 +89,11 @@ def test_share_enumerates_its_own_positions(monkeypatch, shares):
     full = tuple(enumerate_artinian_lex(6))
     built = []
 
-    def counted(I, n, gens):
+    def counted(n, gens):
         built.append(gens)
-        return _fill(I, n, gens)
+        return _ideal(n, gens)
 
-    monkeypatch.setattr(enumeration, "_fill", counted)
+    monkeypatch.setattr(enumeration, "_ideal", counted)
     for k in range(shares):
         built.clear()
         part = tuple(enumerate_artinian_lex(6, k, shares))
@@ -225,7 +226,7 @@ def test_campaign_parallel_matches_serial(monkeypatch):
 
 
 needs_two_cpus = pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2, reason="with one CPU the campaign runs serially"
+    (available_cpus() or 1) < 2, reason="with one CPU the campaign runs serially"
 )
 
 
@@ -371,6 +372,25 @@ def test_worker_count_is_clamped_to_the_cpus():
     assert worker_count(64, 2) == 2
     assert worker_count(3, 8) == 3
     assert worker_count(4, None) == 1
+
+
+def test_campaign_runs_in_process_on_one_allowed_cpu(monkeypatch):
+    # Under `taskset -c 0` on a two-CPU host, os.cpu_count() is 2 while
+    # the process may run on one CPU only: two workers would take turns.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert available_cpus() == 1
+    shares = []
+
+    def recorded(max_deg, checks, k, count, work=_check_share):
+        shares.append((k, count))
+        return work(max_deg, checks, k, count)
+
+    monkeypatch.setattr(enumeration, "_check_share", recorded)
+    summary = run_campaign(CampaignConfig(max_deg=4, parallelism=2))
+    assert shares == [(0, 1)]
+    assert multiprocessing.active_children() == []
+    assert summary == run_campaign(CampaignConfig(max_deg=4))
 
 
 @pytest.mark.parametrize("max_deg", range(1, 6))

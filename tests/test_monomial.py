@@ -7,7 +7,6 @@ from lexbs.monomial import (
     Monomial,
     _monomial,
     divides,
-    ek_split,
     format_monomial,
     glex_key,
     glex_rank,
@@ -56,9 +55,10 @@ def test_quotients_are_kept_on_the_monomial():
 
 
 # What a monomial keeps, each in its own slot, filled by its accessor.
-# xfree_projection is defined on x_1-free monomials only.
-KEPT = (quotients, ek_split, kept_rank, shadow_size, xfree_projection)
-SLOTS = ("_quotients", "_split", "_rank", "_shadow", "_proj")
+# xfree_projection is defined on x_1-free monomials only.  The split is
+# set when the monomial is built, so it is no kept value.
+KEPT = (quotients, kept_rank, shadow_size, xfree_projection)
+SLOTS = ("_quotients", "_rank", "_shadow", "_proj")
 
 
 def _kept(u):
@@ -66,7 +66,7 @@ def _kept(u):
 
 
 def test_each_kept_value_has_its_own_slot():
-    assert Monomial.__slots__ == ("exponents", "degree", *SLOTS)
+    assert Monomial.__slots__ == ("exponents", "degree", "split", *SLOTS)
 
 
 @pytest.mark.parametrize("build", [Monomial, lambda e: _monomial(e, sum(e))])
@@ -78,8 +78,10 @@ def test_kept_quotients_change_nothing_visible(build):
     for fill in KEPT:
         fill(used)
     assert set(_kept(fresh)) == {None}
-    assert _kept(one_kept) == [None, None, 7, None, None]
+    assert _kept(one_kept) == [None, 7, None, None]
     assert None not in _kept(used)
+    for u in (fresh, one_kept, used):
+        assert u.split == ((0, 2), 1)
     for u in (one_kept, used):
         assert fresh == u and hash(fresh) == hash(u)
         assert repr(u) == "Monomial((0, 2, 1))"
@@ -90,8 +92,10 @@ def test_kept_quotients_change_nothing_visible(build):
         for u in (fresh, used):
             back = pickle.loads(pickle.dumps(u, protocol))
             assert back == fresh and hash(back) == hash(fresh)
-            # An unpickled monomial keeps nothing, and derives the same.
+            # An unpickled monomial keeps nothing, has its split, and
+            # derives the same.
             assert back.degree == 3 and set(_kept(back)) == {None}
+            assert back.split == ((0, 2), 1)
             assert [fill(back) for fill in KEPT] == _kept(used)
 
 
@@ -99,9 +103,10 @@ def test_kept_values_are_kept():
     u = m(0, 2, 1, 0)
     for k, fill in enumerate(KEPT):
         assert fill(u) is _kept(u)[k] is fill(u)
-    assert ek_split(u) == ((0, 2), 1)
+    assert u.split == ((0, 2), 1)
     assert xfree_projection(u) == m(2, 1, 0)
     assert xfree_projection(u).degree == 3
+    assert one(3).split is None
     with pytest.raises(ValueError):
         max_index(one(3))
 
@@ -111,7 +116,7 @@ def test_kept_split_and_ranks_match_a_scan_property(e):
     u = Monomial(e)
     n, d = len(e), sum(e)
     m_u = max(i + 1 for i, c in enumerate(e) if c)  # the scan oracle
-    assert ek_split(u) == (tuple(e[: m_u - 1]), e[m_u - 1])
+    assert u.split == (tuple(e[: m_u - 1]), e[m_u - 1])
     assert max_index(u) == m_u
     assert kept_rank(u) == glex_rank(tuple(e))
     assert monomials_of_degree(n, d)[kept_rank(u)] == u

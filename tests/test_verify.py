@@ -26,7 +26,6 @@ from lexbs.ideal import (
     stable_violation,
 )
 from lexbs.monomial import (
-    ek_split,
     kept_rank,
     monomials_of_degree,
     quotients,
@@ -420,8 +419,8 @@ def test_colon_prefix_failure_witnesses(colon_chain, ideal_chain, witness):
 
 
 # Pairs built apart from decompose's table: an opening equal by value
-# passes at the tuple comparison that opens _prefix_witness, and one whose
-# last coefficient grew passes the ordered search after it.
+# and one whose last coefficient grew both pass where _prefix_witness
+# compares the first pairs as tuples and the last coefficients as integers.
 @pytest.mark.parametrize(
     "ideal_chain",
     [
@@ -623,9 +622,9 @@ def test_lex_and_stability_decided_once_per_distinct_ideal(monkeypatch):
 
 
 def _kept_values(u):
-    """What u keeps: its quotients, split, rank, shadow size and x_1-free
+    """What u keeps: its quotients, rank, shadow size and x_1-free
     projection, None where not yet found."""
-    return (u._quotients, u._split, u._rank, u._shadow, u._proj)
+    return (u._quotients, u._rank, u._shadow, u._proj)
 
 
 def test_each_kept_value_is_found_once_per_monomial(monkeypatch):
@@ -646,16 +645,14 @@ def test_each_kept_value_is_found_once_per_monomial(monkeypatch):
 
         return counted
 
-    for k, keep in enumerate(
-        (quotients, ek_split, kept_rank, shadow_size, xfree_projection)
-    ):
+    for k, keep in enumerate((quotients, kept_rank, shadow_size, xfree_projection)):
         counted = counting(keep, k)
         for module in (monomial, ideal, betti, verify, enumeration):
             for name, obj in list(vars(module).items()):
                 if obj is keep:
                     monkeypatch.setattr(module, name, counted)
     run_campaign(CampaignConfig(max_deg=6))
-    assert {k for k, _ in found} == set(range(5))
+    assert {k for k, _ in found} == set(range(4))
     assert max(found.values()) == 1, found.most_common(1)
 
 
