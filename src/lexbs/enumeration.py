@@ -141,8 +141,10 @@ def _check_share(max_deg: int, checks: tuple[str, ...], k: int, shares: int):
     # enumerate_artinian_lex is looked up here, not bound at import, so
     # a caller may wrap it to time each ideal.
     ideals = enumerate_artinian_lex(max_deg, k, shares)
-    # No check makes a reference cycle, so the cyclic collector would only
+    # No facts object links to itself, not even for the L with (L, x_1) = L,
+    # so no check makes a reference cycle and the cyclic collector would only
     # walk the facts cache again and again; it is paused meanwhile.
+    # test_campaign_leaves_nothing_for_the_collector pins this.
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -73,12 +73,12 @@ class MonomialIdeal:
     list that breaks one; :func:`minimalize` builds the ideal of any
     list.  ``_key`` holds the exponent tuples of ``gens``, which equality
     and the hash read: they determine n, and comparing them stays in
-    tuples of ints.  ``_lex`` and ``_stable`` hold the answers of
-    :func:`is_lex_segment` and :func:`is_stable` once decided, and None
-    before.
+    tuples of ints.  ``_lex``, ``_stable`` and ``_artinian`` hold the
+    answers of :func:`is_lex_segment`, :func:`is_stable` and
+    :func:`is_artinian` once decided, and None before.
     """
 
-    __slots__ = ("n", "gens", "_key", "_hash", "_lex", "_stable")
+    __slots__ = ("n", "gens", "_key", "_hash", "_lex", "_stable", "_artinian")
 
     def __init__(self, n: int, gens):
         gens = tuple(gens)
@@ -118,7 +118,7 @@ def _fill(I: MonomialIdeal, n: int, ordered: tuple[Monomial, ...]) -> MonomialId
     I.gens = ordered
     I._key = key = tuple(map(_exponents, ordered))
     I._hash = hash(key)
-    I._lex = I._stable = None
+    I._lex = I._stable = I._artinian = None
     return I
 
 
@@ -339,15 +339,18 @@ def is_stable(I: MonomialIdeal) -> bool:
 
 
 def is_artinian(I: Ideal) -> bool:
-    """True iff I contains a pure power of every variable."""
+    """True iff I contains a pure power of every variable, decided on the
+    first call for I and read from I after that."""
     if isinstance(I, UnitIdeal):
         return True
     if isinstance(I, ZeroIdeal):
         return False
-    # Minimal generators hold at most one pure power of each variable, and
-    # u is one exactly when an exponent equals its degree.
-    gens = I.gens
-    return sum(map(_has, map(_exponents, gens), map(_degree, gens))) == I.n
+    if I._artinian is None:
+        # Minimal generators hold at most one pure power of each variable,
+        # and u is one exactly when an exponent equals its degree.
+        gens = I.gens
+        I._artinian = sum(map(_has, map(_exponents, gens), map(_degree, gens))) == I.n
+    return I._artinian
 
 
 def colon_variable(I: MonomialIdeal, i: int):

@@ -32,10 +32,10 @@ its IdealFacts, which computes each item at most once.  A campaign meets
 each ideal again as a different but equal object, the colon or (L, x_1)
 of others, so facts_of finds facts by value in a bounded cache, the only
 one in this module; the facts link those of the colons, (L, x_1) and J,
-found once, and chain_of reads a chain from there.  So an ideal's lex
-and stability answers (kept on the ideal; see is_lex_segment and
-is_stable), its diagram, chain and cut are decided once per distinct
-ideal while its facts stay cached or linked.
+found once, and chain_of reads a chain from there.  So an ideal's lex,
+stability and Artinian answers (kept on the ideal; see is_lex_segment,
+is_stable and is_artinian), its diagram, chain and cut are decided once
+per distinct ideal while its facts stay cached or linked.
 """
 
 from __future__ import annotations
@@ -74,14 +74,13 @@ class CheckReport:
     The status reads "kind" or "kind(reason)".  A check may give it as a
     pair (kind, word) instead, where word() words the reason: the text is
     then worded on the first read of `status` and kept, so a campaign,
-    which reads only `outcome`, never words it.  `outcome` is what the
-    report counts as: a vacuous or excluded status counts as its kind even
-    where a comparison ran, and otherwise the verdict decides between
+    which reads only `outcome`, never words it.  `outcome` is the report's
+    one classification: a vacuous or excluded status counts as its kind
+    even where a comparison ran, and otherwise the verdict decides between
     passed and failed.
     """
 
-    __slots__ = ("ideal", "_status", "status_kind", "outcome", "verdict",
-                 "witness", "details")
+    __slots__ = ("ideal", "_status", "outcome", "verdict", "witness", "details")
 
     def __init__(
         self,
@@ -94,7 +93,6 @@ class CheckReport:
         self.ideal = ideal
         self._status = status
         kind = status[0] if isinstance(status, tuple) else status.split("(", 1)[0]
-        self.status_kind = kind
         if kind in ("vacuous", "excluded"):
             self.outcome = kind
         else:
@@ -124,32 +122,30 @@ class IdealFacts:
 
     Take them from facts_of: `ideal` is then the first ideal met equal to
     the one asked for, and the colons, (L, x_1) and J are linked as their
-    own facts.  The items call the module-level functions at that moment,
-    so a function rebound here (a tracer, a fault injected by a test) is
-    the one used.
+    own facts.  No facts object links to itself, so the links make no
+    cycle (the colons and (L, x_1) contain L, J has fewer variables): a
+    colon equal to L is not linked, and (L, x_1) is read only for L
+    without x_1.  The predicates' answers are kept on the ideal.  The
+    items call the module-level functions at that moment, so a function
+    rebound here (a tracer, a fault injected by a test) is the one used.
     """
 
-    __slots__ = ("ideal", "_colons", "_artinian", "_xfree", "_augmented",
-                 "_diagram", "_chain", "_cut", "_shifted", "_family")
+    __slots__ = ("ideal", "_colons", "_xfree", "_augmented", "_diagram",
+                 "_chain", "_cut", "_shifted", "_family")
 
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
         self._colons: dict[int, IdealFacts] = {}
-        self._artinian = self._xfree = self._augmented = None
-        self._diagram = self._chain = self._cut = self._shifted = None
-        self._family = None
-
-    @property
-    def artinian(self) -> bool:
-        if self._artinian is None:
-            self._artinian = is_artinian(self.ideal)
-        return self._artinian
+        self._xfree = self._augmented = self._diagram = None
+        self._chain = self._cut = self._shifted = self._family = None
 
     def colon(self, i: int) -> IdealFacts:
-        """The facts of (L : x_i)."""
+        """The facts of (L : x_i), linked unless they are L's own."""
         facts = self._colons.get(i)
         if facts is None:
-            facts = self._colons[i] = facts_of(colon_variable(self.ideal, i))
+            facts = facts_of(colon_variable(self.ideal, i))
+            if facts is not self:
+                self._colons[i] = facts
         return facts
 
     @property
@@ -161,7 +157,8 @@ class IdealFacts:
 
     @property
     def augmented(self) -> IdealFacts:
-        """The facts of (L, x_1)."""
+        """The facts of (L, x_1), for L without x_1: the readers use L's
+        own facts where x_1 is in L."""
         if self._augmented is None:
             self._augmented = facts_of(add_variable(self.ideal, 1))
         return self._augmented
@@ -266,7 +263,7 @@ def check_colon_prefix(L: MonomialIdeal) -> CheckReport:
     f = facts_of(L)
     if not is_lex_segment(f.ideal):
         return CheckReport(L, "excluded(not a lex-segment ideal)")
-    if not f.artinian:
+    if not is_artinian(f.ideal):
         return CheckReport(
             L, "excluded(no pure power of some variable: quotient not Artinian)"
         )
@@ -326,9 +323,8 @@ def _compare_tails(tail_a, tail_b) -> str | None:
     return None
 
 
-def _tail_report(L: MonomialIdeal, f: IdealFacts, status: str) -> CheckReport:
-    """Shared tail comparison between the chains of L and (L, x_1)."""
-    Lx = f.augmented
+def _tail_report(L, f: IdealFacts, Lx: IdealFacts, status: str) -> CheckReport:
+    """Tail comparison of the chains in the facts f of L and Lx of (L, x_1)."""
     tail_L, tail_Lx = f.cut[1], Lx.cut[1]
     details = {"tail": tail_L, "augmented_tail": tail_Lx, "augmented": Lx.ideal}
     return _report(L, status, _compare_tails(tail_L, tail_Lx), details)
@@ -341,8 +337,7 @@ def classify_excluded_family(L: MonomialIdeal):
     L belongs to the family with 1 < t < k-1, and otherwise a human
     readable reason why not.  Assumes L is an Artinian lex ideal.
     """
-    f = facts_of(L)
-    return f.family or f.family_reason()
+    return facts_of(L).family_reason()
 
 
 def check_tail_agreement(L: MonomialIdeal) -> CheckReport:
@@ -355,19 +350,19 @@ def check_tail_agreement(L: MonomialIdeal) -> CheckReport:
     f = facts_of(L)
     if not is_lex_segment(f.ideal):
         return CheckReport(L, "excluded(not a lex-segment ideal)")
-    if not f.artinian:
+    if not is_artinian(f.ideal):
         return CheckReport(L, "vacuous(quotient not Artinian)")
     if isinstance(f.colon(1).ideal, UnitIdeal):
         # x_1 is in L, so (L, x_1) = L and the two tails are the same list.
         return _tail_report(
-            L, f, "vacuous(L already contains x_1, so L = (L, x_1))"
+            L, f, f, "vacuous(L already contains x_1, so L = (L, x_1))"
         )
     if f.family:
         t, k = f.family
         status = f"excluded(family x*(x, y, z^{t}) + J with k = {k})"
     else:
         status = "applicable"
-    return _tail_report(L, f, status)
+    return _tail_report(L, f, f.augmented, status)
 
 
 def check_excluded_family_tails(L: MonomialIdeal) -> CheckReport:
@@ -375,13 +370,13 @@ def check_excluded_family_tails(L: MonomialIdeal) -> CheckReport:
     f = facts_of(L)
     if not is_lex_segment(f.ideal):
         return CheckReport(L, "excluded(wrong-family: not a lex-segment ideal)")
-    if not f.artinian:
+    if not is_artinian(f.ideal):
         return CheckReport(L, "excluded(wrong-family: quotient not Artinian)")
     if not f.family:
         return CheckReport(
             L, ("excluded", lambda: f"wrong-family: {f.family_reason()}")
         )
-    return _tail_report(L, f, "applicable")
+    return _tail_report(L, f, f.augmented, "applicable")
 
 
 def family_ideal(t: int, s: int) -> MonomialIdeal:
@@ -429,8 +424,6 @@ def family_closed_form(t: int, s: int) -> Decomposition:
     for coeff, seq, scale in raw:
         if any(a >= b for a, b in zip(seq, seq[1:])):
             continue
-        if coeff == 0:
-            continue
         canonical = coeff * Fraction(scale, pure_diagram(seq).lam)
         if canonical == 0:
             continue
@@ -475,7 +468,7 @@ def explain_chain(L: MonomialIdeal) -> ProvenanceReport:
     f = facts_of(L)
     if not is_lex_segment(f.ideal):
         raise ValueError("provenance annotation needs a lex-segment ideal")
-    if not f.artinian:
+    if not is_artinian(f.ideal):
         raise ValueError("provenance annotation needs an Artinian quotient")
     # A unit colon has no chain and induces nothing.
     source_full = {}
@@ -483,7 +476,9 @@ def explain_chain(L: MonomialIdeal) -> ProvenanceReport:
         c = f.colon(idx)
         full_c = () if isinstance(c.ideal, UnitIdeal) else c.cut[0]
         source_full[name] = tuple(seq for _, seq in full_c)
-    source_short = tuple(seq for _, seq in f.augmented.cut[1])
+    # Where x_1 is in L, (L, x_1) = L.
+    Lx = f if isinstance(f.colon(1).ideal, UnitIdeal) else f.augmented
+    source_short = tuple(seq for _, seq in Lx.cut[1])
     full, short = f.cut
 
     tagged = [

@@ -355,7 +355,7 @@ def test_constructors_leave_verdicts_undecided():
     # A verdict set by a constructor would go untested by every check
     # that reads it.
     decided = parse_ideal(SPLICE8_TEXT)
-    assert is_lex_segment(decided) and is_stable(decided)
+    assert is_lex_segment(decided) and is_stable(decided) and is_artinian(decided)
     built = [
         MonomialIdeal(3, decided.gens),
         _ideal(3, decided.gens),
@@ -367,7 +367,7 @@ def test_constructors_leave_verdicts_undecided():
         *enumerate_artinian_lex(3),
     ]
     for I in built:
-        assert (I._lex, I._stable) == (None, None), I
+        assert (I._lex, I._stable, I._artinian) == (None, None, None), I
 
 
 def test_decided_verdicts_survive_pickle():
@@ -375,12 +375,12 @@ def test_decided_verdicts_survive_pickle():
     for text in (SPLICE8_TEXT, "x^2, xy, y^2", "xz, y^2"):
         I = parse_ideal(text)
         fresh = pickle.loads(pickle.dumps(I))
-        assert (fresh._lex, fresh._stable) == (None, None)
-        verdicts = (is_lex_segment(I), is_stable(I))
+        assert (fresh._lex, fresh._stable, fresh._artinian) == (None, None, None)
+        verdicts = (is_lex_segment(I), is_stable(I), is_artinian(I))
         J = pickle.loads(pickle.dumps(I))
         assert J == I and hash(J) == hash(I)
-        assert (J._lex, J._stable) == verdicts
-        assert (is_lex_segment(J), is_stable(J)) == verdicts
+        assert (J._lex, J._stable, J._artinian) == verdicts
+        assert (is_lex_segment(J), is_stable(J), is_artinian(J)) == verdicts
 
 
 def test_format_ideal():

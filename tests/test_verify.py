@@ -2,6 +2,7 @@
 excluded family and its closed-form chain, provenance tags, dominance,
 and the split identities."""
 
+import gc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -695,7 +696,7 @@ def test_campaign_words_no_status(monkeypatch):
     run_campaign(CampaignConfig(max_deg=5))
     assert worded == []
     report = check_excluded_family_tails(splice8())
-    assert (report.status_kind, worded) == ("excluded", [])
+    assert (report.outcome, worded) == ("excluded", [])
     assert report.status == (
         "excluded(wrong-family: colon by x is (y^2, y*z, z^2, x), "
         "not of the form (x, y, z^t))"
@@ -703,6 +704,57 @@ def test_campaign_words_no_status(monkeypatch):
     assert len(worded) == 1
     assert report.status.startswith("excluded(wrong-family: colon by x")
     assert len(worded) == 1
+
+
+# ------------------------------------------------------ no reference cycles
+
+
+def _collected_after(run):
+    """What the cyclic collector finds once run() has run with the
+    collector paused, as _check_share pauses it, and the facts cache is
+    cleared."""
+    collecting = gc.isenabled()
+    verify.facts_of.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        verify.facts_of.cache_clear()
+        return gc.collect()
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_campaign_leaves_nothing_for_the_collector():
+    # Reference counts alone free what a campaign drops only while no facts
+    # object links to itself, not even those of an L with (L, x_1) = L.
+    assert _collected_after(lambda: run_campaign(CampaignConfig(max_deg=6))) == 0
+
+
+def test_single_queries_leave_nothing_for_the_collector():
+    # explain on an ideal that contains x reads the tail of (L, x) = L, and
+    # lemmas on (x) reads its colons by y and z, which equal (x).
+    def queries():
+        explain_chain(parse_ideal("x, y^2, yz, z^3"))
+        CHECKS["lemmas"](parse_ideal("x"))
+
+    assert _collected_after(queries) == 0
+
+
+def test_tail_agreement_builds_no_sum_when_x_is_in_the_ideal(monkeypatch):
+    # (L, x) = L: the comparison reads L's own facts twice.
+    verify.facts_of.cache_clear()
+    built = []
+
+    def counted(I, i, work=verify.add_variable):
+        built.append(I)
+        return work(I, i)
+
+    monkeypatch.setattr(verify, "add_variable", counted)
+    report = CHECKS["thm2"](parse_ideal("x, y^2, yz, z^3"))
+    assert report.status == "vacuous(L already contains x_1, so L = (L, x_1))"
+    assert report.verdict == "pass" and built == []
 
 
 # Lex input is rare among random ideals; lexified ones supply it.  The
